@@ -4,14 +4,18 @@
 //! (including chaos streams), on explicit fault-intensity sweeps, and
 //! on the workload families behind every figure/table binary.
 
-use tlr_check::diff::check_engines;
+use std::fmt::Debug;
+
+use tlr_check::diff::{check_engines, trace_digest};
 use tlr_check::fuzz::arbitrary_config;
 use tlr_check::oracle::OracleWorkload;
 use tlr_check::{prop, Source};
 use tlr_core::run::{build_machine, WorkloadSpec};
-use tlr_sim::config::{MachineConfig, Scheme};
+use tlr_core::{run_preemptive, Machine, Preemption};
+use tlr_sim::config::{Engine, Interconnect, MachineConfig, RetentionPolicy, Scheme};
 use tlr_sim::fault::FaultConfig;
 use tlr_sim::pool::Pool;
+use tlr_sim::prof::{EngineProf, ProfConfig, WakeSource};
 use tlr_workloads::{apps, micro};
 
 /// One differential case: a fuzzed configuration (geometry, latencies,
@@ -111,4 +115,139 @@ fn event_engine_matches_oracle_on_binary_workloads() {
             .unwrap_or_else(|e| panic!("{name}/{scheme}: {e}"));
         }
     }
+}
+
+/// Drives one machine per engine through `drive` and demands byte
+/// identity of the outcome, the final cycle, the full `{:?}` rendering
+/// of the stats and the trace. Returns the event engine's profile
+/// counters, so a cell can prove it exercised what it claims to.
+fn assert_engines_identical<R: Debug>(
+    label: &str,
+    build: impl Fn(Engine) -> Machine,
+    drive: impl Fn(&mut Machine) -> R,
+) -> EngineProf {
+    let mut ev = build(Engine::EventDriven);
+    let mut cy = build(Engine::CycleStepped);
+    let (rv, rc) = (drive(&mut ev), drive(&mut cy));
+    assert_eq!(format!("{rv:?}"), format!("{rc:?}"), "{label}: run outcome differs");
+    assert_eq!(ev.cycle(), cy.cycle(), "{label}: final cycle differs");
+    let (sv, sc) = (format!("{:?}", ev.stats()), format!("{:?}", cy.stats()));
+    if sv != sc {
+        let at = sv.bytes().zip(sc.bytes()).position(|(a, b)| a != b).unwrap_or(sv.len().min(sc.len()));
+        let from = at.saturating_sub(80);
+        panic!(
+            "{label}: stats differ at byte {at}\n    event: ..{}\n    cycle: ..{}",
+            &sv[from..(at + 80).min(sv.len())],
+            &sc[from..(at + 80).min(sc.len())]
+        );
+    }
+    assert_eq!(ev.trace().len(), cy.trace().len(), "{label}: trace lengths differ");
+    assert_eq!(trace_digest(&ev), trace_digest(&cy), "{label}: traces differ");
+    ev.take_profile().expect("cells run with profiling on").engine
+}
+
+/// A profiled, traced directory machine for the sparse-active-set
+/// cells.
+fn directory_cfg(scheme: Scheme, procs: usize, seed: u64) -> MachineConfig {
+    MachineConfig::builder()
+        .scheme(scheme)
+        .procs(procs)
+        .interconnect(Interconnect::Directory)
+        .seed(seed)
+        .max_cycles(4_000_000)
+        .profile(ProfConfig::on())
+        .build()
+}
+
+fn build_traced(cfg: &MachineConfig, engine: Engine, w: &dyn WorkloadSpec) -> Machine {
+    let mut c = cfg.clone();
+    c.engine = engine;
+    let mut m = build_machine(&c, w);
+    m.enable_trace_with_capacity(1 << 16);
+    m
+}
+
+fn wakes(e: &EngineProf, source: WakeSource) -> u64 {
+    e.wake[WakeSource::ALL.iter().position(|&s| s == source).unwrap()]
+}
+
+#[test]
+fn event_engine_matches_oracle_on_sparse_directory_machines() {
+    // 64 and 256 processors on the home-node directory, where nearly
+    // every node is parked at any moment: the regime in which the
+    // event engine's active set and deadline heap replace full scans.
+    // Two mp3d moves per processor keep the oracle's every-node-every-
+    // cycle run short while the second pass still elides its locks.
+    for procs in [64, 256] {
+        let w = apps::mp3d(procs, 2, 4 * procs as u64);
+        for scheme in [Scheme::Base, Scheme::Sle, Scheme::Tlr] {
+            let cfg = directory_cfg(scheme, procs, 0x5ba2_5e7d);
+            let label = format!("mp3d/{scheme}/{procs} procs");
+            let e = assert_engines_identical(&label, |eng| build_traced(&cfg, eng, &w), Machine::run);
+            assert!(
+                e.live_ticks * 4 < (e.steps + e.skipped_cycles) * procs as u64,
+                "{label}: the active set was not sparse ({} live ticks)",
+                e.live_ticks
+            );
+        }
+    }
+}
+
+#[test]
+fn event_engine_matches_oracle_on_directory_chaos_with_timers() {
+    // Chaos at intensity 3 with NACK retention on a contended counter:
+    // restart penalties arm idle timers and NACKs arm retry timers, so
+    // both kinds of deadline pin event-engine steps.
+    let procs = 32;
+    let w = micro::single_counter(procs, 4 * procs as u64);
+    let mut cfg = directory_cfg(Scheme::Tlr, procs, 0xc4a0_5eed);
+    cfg.retention = RetentionPolicy::Nack;
+    cfg.faults = FaultConfig::intensity(0xc4a0_f00d, 3);
+    let e = assert_engines_identical(
+        "single_counter/TLR/32 procs/chaos 3",
+        |eng| build_traced(&cfg, eng, &w),
+        Machine::run,
+    );
+    assert!(wakes(&e, WakeSource::IdleTimer) > 0, "no idle-timer wake: {e:?}");
+    assert!(wakes(&e, WakeSource::RetryTimer) > 0, "no retry-timer wake: {e:?}");
+}
+
+#[test]
+fn event_engine_matches_oracle_under_preemption_at_64_procs() {
+    // External drivers mutate nodes between steps: one thread is
+    // killed mid-transaction, then `run_preemptive` deschedules and
+    // reschedules the rest round-robin. Every such external touch
+    // must keep the active set and the deadline heap exact. NACK
+    // retention adds retry timers to the deadlines those touches
+    // disarm and re-arm.
+    let procs = 64;
+    let w = micro::single_counter(procs, 3 * procs as u64);
+    let mut cfg = directory_cfg(Scheme::Tlr, procs, 0x0905_5eed);
+    cfg.retention = RetentionPolicy::Nack;
+    let e = assert_engines_identical(
+        "single_counter/TLR/64 procs/kill + preemptive",
+        |eng| build_traced(&cfg, eng, &w),
+        |m| {
+            // Sample at fixed 100-cycle marks, which both engines land
+            // on exactly, until some thread is inside a transaction.
+            let victim = loop {
+                if let Some(v) = (0..procs).find(|&i| m.in_txn(i)) {
+                    break v;
+                }
+                assert!(!m.is_quiesced(), "no transaction ever opened");
+                let mark = m.cycle() + 100;
+                while m.cycle() < mark {
+                    match m.config().engine {
+                        Engine::EventDriven => m.advance_within(mark),
+                        Engine::CycleStepped => m.step(),
+                    }
+                }
+            };
+            m.kill(victim);
+            let report = run_preemptive(m, Preemption::new(150, 60)).expect("quiesces");
+            assert!(report.preemptions > procs as u64, "too few preemptions: {report:?}");
+            (victim, report)
+        },
+    );
+    assert!(wakes(&e, WakeSource::Bound) > 0, "the preemption bound never pinned a step");
 }

@@ -22,7 +22,9 @@
 //! deterministic for a given configuration and seed and produce
 //! byte-identical statistics and traces (see `DESIGN.md` §12).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use tlr_cpu::{AccessKind, Core, CoreStep, MemAccess, Op, Program};
@@ -32,10 +34,10 @@ use tlr_mem::mshr::{Intervention, MshrEntry};
 use tlr_mem::msg::{BusReqKind, BusRequest, DataGrant, NetMsg};
 use tlr_mem::protocol;
 use tlr_mem::timestamp::{Prio, Timestamp};
-use tlr_mem::{Bus, Directory, MemorySystem, Network};
+use tlr_mem::{Bus, Directory, MemorySystem, Network, NodeSet};
 use tlr_sim::config::{Engine, Interconnect, MachineConfig, UntimestampedPolicy};
 use tlr_sim::fault::FaultPlan;
-use tlr_sim::prof::{Gauges, Profiler, WakeSource};
+use tlr_sim::prof::{EngineProf, Gauges, Profiler, WakeSource};
 use tlr_sim::trace::{Trace, TraceKind};
 use tlr_sim::{Cycle, MachineStats, NodeId, SimRng};
 
@@ -230,6 +232,105 @@ fn pending_x_idle(node: &Node) -> bool {
     })
 }
 
+/// The wake source each per-node deadline slot reports, in the order
+/// the full scan considered them (idle timer before NACK retry).
+const DEADLINE_SOURCES: [WakeSource; 2] = [WakeSource::IdleTimer, WakeSource::RetryTimer];
+
+/// A node's self-wake deadlines: `[idle timer, NACK retry]`.
+type NodeDeadlines = [Option<Cycle>; 2];
+
+/// The event engine's index of self-wake deadlines: a min-heap of
+/// `(cycle, node, slot, generation)` with lazy invalidation, the
+/// delayed-delivery queue idiom. Re-arming a node bumps its
+/// generation, which turns every older entry of that node stale;
+/// stale entries are dropped when they surface at the top (or in bulk
+/// once they outnumber the live ones). Only `Idle` nodes have armed
+/// deadlines, so the live minimum is exactly the earliest timer the
+/// old full scan over `sched` found.
+#[derive(Debug)]
+struct Deadlines {
+    heap: BinaryHeap<Reverse<(Cycle, usize, usize, u64)>>,
+    /// Per node: the currently armed deadlines and their generation.
+    armed: Vec<(NodeDeadlines, u64)>,
+}
+
+impl Deadlines {
+    fn new(nodes: usize) -> Self {
+        Deadlines { heap: BinaryHeap::new(), armed: vec![([None, None], 0); nodes] }
+    }
+
+    fn is_live(&self, &Reverse((_, i, _, generation)): &Reverse<(Cycle, usize, usize, u64)>) -> bool {
+        self.armed[i].1 == generation
+    }
+
+    /// Re-arms node `i`. A no-op when the deadlines are unchanged, so
+    /// re-classifying a parked node into the same state costs nothing.
+    fn arm(&mut self, i: usize, deadlines: NodeDeadlines) {
+        let slot = &mut self.armed[i];
+        if slot.0 == deadlines {
+            return;
+        }
+        *slot = (deadlines, slot.1 + 1);
+        let generation = slot.1;
+        for (k, c) in deadlines.into_iter().enumerate() {
+            if let Some(c) = c {
+                self.heap.push(Reverse((c, i, k, generation)));
+            }
+        }
+        if self.heap.len() > 4 * self.armed.len() + 64 {
+            let armed = &self.armed;
+            self.heap.retain(|&Reverse((_, i, _, g))| armed[i].1 == g);
+        }
+    }
+
+    /// Drops stale entries from the top, so `peek` sees a live one.
+    fn prune(&mut self) {
+        while self.heap.peek().is_some_and(|e| !self.is_live(e)) {
+            self.heap.pop();
+        }
+    }
+
+    /// The earliest armed deadline, unclamped.
+    fn earliest(&mut self) -> Option<Cycle> {
+        self.prune();
+        self.heap.peek().map(|&Reverse((c, ..))| c)
+    }
+
+    /// Pops the next node with an armed deadline at or before `now`.
+    /// A node armed in both slots may come out twice; callers make it
+    /// live, which disarms it, so the second entry is stale by then.
+    fn pop_due(&mut self, now: Cycle) -> Option<usize> {
+        self.prune();
+        let &Reverse((c, i, ..)) = self.heap.peek()?;
+        (c <= now).then(|| {
+            self.heap.pop();
+            i
+        })
+    }
+
+    /// The earliest deadline clamped to `floor`, with the source the
+    /// full scan would have reported: among equal clamped cycles, the
+    /// lowest node wins, its idle timer before its retry. The heap
+    /// order gives that directly unless some deadline is overdue
+    /// (below `floor`); every overdue deadline then clamps to `floor`
+    /// and the winner is searched among them.
+    fn next_wake(&mut self, floor: Cycle) -> Option<(Cycle, WakeSource)> {
+        self.prune();
+        let &Reverse((c, _, k, _)) = self.heap.peek()?;
+        if c >= floor {
+            return Some((c, DEADLINE_SOURCES[k]));
+        }
+        let (_, k) = self
+            .heap
+            .iter()
+            .filter(|e| self.is_live(e))
+            .filter_map(|&Reverse((c, i, k, _))| (c <= floor).then_some((i, k)))
+            .min()
+            .expect("the live top is overdue");
+        Some((floor, DEADLINE_SOURCES[k]))
+    }
+}
+
 /// The simulated multiprocessor.
 #[derive(Debug)]
 pub struct Machine {
@@ -265,34 +366,38 @@ pub struct Machine {
     snoops: VecDeque<SnoopEvent>,
     /// Event-engine schedule state per node. Stays all-`Active` under
     /// the cycle-stepped engine (and for externally stepped machines),
-    /// which makes the lazy settling a no-op there.
+    /// which makes the lazy settling a no-op there. Written only
+    /// through [`Machine::set_sched`], which keeps `active` and
+    /// `deadlines` in step with it.
     sched: Vec<NodeSched>,
-    /// Scratch: which nodes run in the current event step.
-    woken: Vec<bool>,
+    /// The nodes whose `sched` is `Active`, in index order.
+    active: NodeSet,
+    /// The armed self-wake deadlines of `Idle` nodes.
+    deadlines: Deadlines,
+    /// Nodes the ordering point or a delivery touched this step, in
+    /// touch order; `woken_set` mirrors it for O(1) dedup. Emptied by
+    /// the step's promotion, one member at a time.
+    woken: Vec<usize>,
+    woken_set: NodeSet,
     /// Scratch: this cycle's network deliveries (capacity reuse).
     net_scratch: Vec<NetMsg>,
     /// Scratch: this cycle's directory-ordered requests (capacity
     /// reuse; empty on snooping machines).
     dir_scratch: Vec<BusRequest>,
-    /// Scratch: burst mode's active-node set (capacity reuse).
-    burst_scratch: Vec<usize>,
-    /// Scratch: per-node involvement flags for the snoop being
-    /// processed (capacity reuse).
-    snoop_touch: Vec<bool>,
-    /// Event-engine work counters (steps taken, node ticks run) for
-    /// performance diagnostics. Not part of [`MachineStats`].
-    engine_steps: u64,
-    engine_live_ticks: u64,
-    /// Engine self-profiling counters (closed-form settle and burst
-    /// usage), copied into the profiler at finalize. Plain u64 adds on
-    /// paths that already do bookkeeping, so they stay unconditional.
-    idle_settles: u64,
-    idle_settle_cycles: u64,
-    spin_settles: u64,
-    spin_settle_cycles: u64,
-    burst_entries: u64,
-    burst_cycles: u64,
-    burst_ticks: u64,
+    /// Scratch: the nodes ticking this step or burst (capacity reuse).
+    live_scratch: Vec<usize>,
+    /// Scratch: the nodes involved in the snoop being processed, each
+    /// with whether it was already live (capacity reuse).
+    snoop_touch: Vec<(usize, bool)>,
+    /// Every node below this index has a finished core: the
+    /// quiescence check's early-out. Cores never un-finish, so it
+    /// only moves forward (amortized O(1) per check).
+    quiesce_cursor: Cell<usize>,
+    /// Engine self-profiling counters (steps, live ticks, closed-form
+    /// settle and burst usage). Plain u64 adds on paths that already
+    /// do bookkeeping, so they stay unconditional; moved into the
+    /// profiler by [`Machine::take_profile`].
+    engine: EngineProf,
     /// The profiler, present only when [`tlr_sim::prof::ProfConfig`]
     /// enables it; `None` costs one pointer test per step.
     prof: Option<Box<Profiler>>,
@@ -333,6 +438,11 @@ impl Machine {
             Directory::new(cfg.num_procs, banks, cfg.latency.bus_occupancy, cfg.req_network)
         });
         let stats_dir_banks = dir.as_ref().map_or(0, |d| d.banks());
+        // Every node starts `Active`.
+        let mut active = NodeSet::new(cfg.num_procs);
+        for i in 0..cfg.num_procs {
+            active.insert(i);
+        }
         stats.dir.banks = stats_dir_banks as u64;
         let mut net = Network::new();
         if cfg.faults.enabled {
@@ -372,21 +482,17 @@ impl Machine {
             cycle: 0,
             fault: cfg.faults.plan(),
             sched: vec![NodeSched::Active; cfg.num_procs],
+            active,
+            deadlines: Deadlines::new(cfg.num_procs),
             snoops: VecDeque::new(),
-            woken: vec![false; cfg.num_procs],
+            woken: Vec::new(),
+            woken_set: NodeSet::new(cfg.num_procs),
             net_scratch: Vec::new(),
             dir_scratch: Vec::new(),
-            burst_scratch: Vec::new(),
+            live_scratch: Vec::new(),
             snoop_touch: Vec::new(),
-            engine_steps: 0,
-            engine_live_ticks: 0,
-            idle_settles: 0,
-            idle_settle_cycles: 0,
-            spin_settles: 0,
-            spin_settle_cycles: 0,
-            burst_entries: 0,
-            burst_cycles: 0,
-            burst_ticks: 0,
+            quiesce_cursor: Cell::new(0),
+            engine: EngineProf::default(),
             prof: cfg.profile.profiler().map(|mut p| {
                 p.bus_occupancy = cfg.latency.bus_occupancy;
                 p.dir_banks = stats_dir_banks;
@@ -460,8 +566,16 @@ impl Machine {
     }
 
     /// Whether every thread has finished and the memory system is
-    /// idle.
+    /// idle. O(1) amortized while some thread still runs.
     pub fn is_quiesced(&self) -> bool {
+        let mut first_running = self.quiesce_cursor.get();
+        while self.nodes.get(first_running).is_some_and(|n| n.core.is_done()) {
+            first_running += 1;
+        }
+        self.quiesce_cursor.set(first_running);
+        if first_running < self.nodes.len() {
+            return false;
+        }
         self.nodes.iter().all(|n| {
             n.core.is_done()
                 && n.sb.is_empty()
@@ -518,19 +632,6 @@ impl Machine {
         }
         self.settle_idle_charges();
         self.finalize_stats();
-        if std::env::var_os("TLR_ENGINE_DEBUG").is_some() {
-            let n = self.nodes.len() as u64;
-            eprintln!(
-                "[engine] cycles={} steps={} live_ticks={} (full-tick equivalent {}; \
-                 step ratio {:.3}, tick ratio {:.3})",
-                self.cycle,
-                self.engine_steps,
-                self.engine_live_ticks,
-                self.cycle * n,
-                self.engine_steps as f64 / self.cycle.max(1) as f64,
-                self.engine_live_ticks as f64 / (self.cycle * n).max(1) as f64,
-            );
-        }
         Ok(())
     }
 
@@ -544,6 +645,8 @@ impl Machine {
     pub fn advance_within(&mut self, bound: Cycle) {
         debug_assert!(bound > self.cycle, "advance bound must be in the future");
         let next = self.next_event_cycle();
+        #[cfg(debug_assertions)]
+        self.audit_schedule(next);
         let target = next.map_or(bound, |(t, _)| t.min(bound)).max(self.cycle + 1);
         if let Some(p) = self.prof.as_deref_mut() {
             p.engine.record_wake(match next {
@@ -590,16 +693,14 @@ impl Machine {
         if self.cfg.faults.enabled && self.trace.is_enabled() {
             return;
         }
-        let mut active = std::mem::take(&mut self.burst_scratch);
+        let mut active = std::mem::take(&mut self.live_scratch);
         active.clear();
-        active.extend(
-            (0..self.nodes.len()).filter(|&i| matches!(self.sched[i], NodeSched::Active)),
-        );
+        active.extend(self.active.iter());
         if active.is_empty() {
-            self.burst_scratch = active;
+            self.live_scratch = active;
             return;
         }
-        let (burst_from, ticks_before) = (self.cycle, self.engine_live_ticks);
+        let (burst_from, ticks_before) = (self.cycle, self.engine.live_ticks);
         // The passive horizon: the snoop queue is FIFO in due cycle
         // and cannot grow during the burst, and sleeping nodes' timers
         // cannot move, so this part is computed once.
@@ -607,17 +708,8 @@ impl Machine {
         if let Some(ev) = self.snoops.front() {
             horizon = horizon.min(ev.due);
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let NodeSched::Idle { timer, .. } = self.sched[i] {
-                if let Some(t) = timer {
-                    horizon = horizon.min(t);
-                }
-                if !n.core.is_done() && !n.paused {
-                    if let Some(t) = n.nack_retries.next_due() {
-                        horizon = horizon.min(t);
-                    }
-                }
-            }
+        if let Some(t) = self.deadlines.earliest() {
+            horizon = horizon.min(t);
         }
         loop {
             let mut h = horizon;
@@ -637,11 +729,11 @@ impl Machine {
                 break;
             }
             self.cycle = next;
-            self.engine_steps += 1;
+            self.engine.steps += 1;
             // A core finishing may complete quiescence; the driver
             // loop checks that between advances, so the burst must
             // yield before running any further cycle.
-            self.engine_live_ticks += active.len() as u64;
+            self.engine.live_ticks += active.len() as u64;
             let finished = self.with_ctx(|nodes, ctx| {
                 let mut finished = false;
                 for &i in &active {
@@ -654,23 +746,11 @@ impl Machine {
             let mut w = 0;
             for k in 0..active.len() {
                 let i = active[k];
-                match self.classify(i, self.cycle) {
-                    NodeSched::Active => {
-                        active[w] = i;
-                        w += 1;
-                    }
-                    s => {
-                        if let NodeSched::Idle { timer: Some(t), .. } = s {
-                            horizon = horizon.min(t);
-                        }
-                        let n = &self.nodes[i];
-                        if !n.core.is_done() && !n.paused {
-                            if let Some(t) = n.nack_retries.next_due() {
-                                horizon = horizon.min(t);
-                            }
-                        }
-                        self.sched[i] = s;
-                    }
+                if matches!(self.reclassify(i, self.cycle), NodeSched::Active) {
+                    active[w] = i;
+                    w += 1;
+                } else if let Some(t) = self.deadlines.armed[i].0.into_iter().flatten().min() {
+                    horizon = horizon.min(t);
                 }
             }
             active.truncate(w);
@@ -679,11 +759,11 @@ impl Machine {
             }
         }
         if self.cycle > burst_from {
-            self.burst_entries += 1;
-            self.burst_cycles += self.cycle - burst_from;
-            self.burst_ticks += self.engine_live_ticks - ticks_before;
+            self.engine.burst_entries += 1;
+            self.engine.burst_cycles += self.cycle - burst_from;
+            self.engine.burst_ticks += self.engine.live_ticks - ticks_before;
         }
-        self.burst_scratch = active;
+        self.live_scratch = active;
     }
 
     /// Settles cached idle charges through the current cycle for every
@@ -702,17 +782,19 @@ impl Machine {
     /// profiler's wake histogram — or `None` when no wake is scheduled
     /// (then the run is either quiesced or timed out). Ties keep the
     /// first source considered, so the attribution is deterministic.
-    fn next_event_cycle(&self) -> Option<(Cycle, WakeSource)> {
+    /// O(log deadlines): the active set and the deadline heap stand in
+    /// for a scan over every node.
+    fn next_event_cycle(&mut self) -> Option<(Cycle, WakeSource)> {
         let floor = self.cycle + 1;
         // Any active node forces a step at the very next cycle; no
         // other source can schedule anything earlier.
-        if self.sched.iter().any(|s| matches!(s, NodeSched::Active)) {
+        if !self.active.is_empty() {
             return Some((floor, WakeSource::ActiveFloor));
         }
         let mut next: Option<(Cycle, WakeSource)> = None;
         let mut consider = |c: Cycle, src: WakeSource| {
             let c = c.max(floor);
-            if next.map_or(true, |(n, _)| c < n) {
+            if next.is_none_or(|(n, _)| c < n) {
                 next = Some((c, src));
             }
         };
@@ -732,49 +814,113 @@ impl Machine {
         if let Some(ev) = self.snoops.front() {
             consider(ev.due, WakeSource::SnoopFront);
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            match self.sched[i] {
-                NodeSched::Active => consider(floor, WakeSource::ActiveFloor),
-                NodeSched::Idle { timer, .. } => {
-                    if let Some(t) = timer {
-                        consider(t, WakeSource::IdleTimer);
-                    }
-                    // NACK retries only fire inside a live node tick,
-                    // which done and paused nodes never reach — waking
-                    // them for a retry would spin to no effect.
-                    if !n.core.is_done() && !n.paused {
-                        if let Some(t) = n.nack_retries.next_due() {
-                            consider(t, WakeSource::RetryTimer);
-                        }
-                    }
-                }
-                // A spinner advances by pure arithmetic; only the
-                // change that ends the spin — always a snoop or a
-                // delivery — needs a scheduled step.
-                NodeSched::Spin { .. } => {}
-            }
+        // Per-node timers come last, exactly as the node scan did; a
+        // spinner has none (only a snoop or a delivery ends a spin).
+        if let Some((c, src)) = self.deadlines.next_wake(floor) {
+            consider(c, src);
         }
         next
     }
 
-    /// Whether node `i` must run a full tick at the current cycle
-    /// independent of cross-node wake events. Due snoops alone do
-    /// *not* make a node due: they are processed lazily in phase 3
-    /// and only promote the node if the snoop changed its class.
-    fn node_due(&self, i: usize) -> bool {
-        match self.sched[i] {
-            NodeSched::Active => true,
-            NodeSched::Idle { timer, .. } => {
-                let n = &self.nodes[i];
-                timer.is_some_and(|t| t <= self.cycle)
-                    || (!n.core.is_done()
-                        && !n.paused
-                        && n.nack_retries.next_due().is_some_and(|t| t <= self.cycle))
-            }
-            // A spin loop only exits when the spun-on line changes,
-            // which always arrives as a snoop or delivery.
-            NodeSched::Spin { .. } => false,
+    /// Node `i`'s self-wake deadlines under schedule state `s`: an
+    /// `Idle` node's timer, and its earliest NACK retry. Retries only
+    /// fire inside a live tick, which done and paused nodes never
+    /// reach — waking them for a retry would spin to no effect.
+    fn wake_deadlines(&self, i: usize, s: &NodeSched) -> NodeDeadlines {
+        let NodeSched::Idle { timer, .. } = *s else { return [None, None] };
+        let n = &self.nodes[i];
+        let retry = if n.core.is_done() || n.paused { None } else { n.nack_retries.next_due() };
+        [timer, retry]
+    }
+
+    /// The single write path for `sched[i]`: keeps the active set and
+    /// the deadline heap in step with the node's new class. Every
+    /// change to a node's timers, retries, done or paused state
+    /// happens in a live tick, a snoop, a delivery or ordering-point
+    /// visit (both wake the node), or an external touch, and each of
+    /// those ends here, so the armed deadlines never go stale.
+    fn set_sched(&mut self, i: usize, s: NodeSched) {
+        if matches!(s, NodeSched::Active) {
+            self.active.insert(i);
+        } else {
+            self.active.remove(i);
         }
+        let deadlines = self.wake_deadlines(i, &s);
+        self.deadlines.arm(i, deadlines);
+        self.sched[i] = s;
+    }
+
+    /// Classifies node `i` (see [`Machine::classify`]) and records the
+    /// result through [`Machine::set_sched`].
+    fn reclassify(&mut self, i: usize, anchor: Cycle) -> NodeSched {
+        let s = self.classify(i, anchor);
+        self.set_sched(i, s);
+        s
+    }
+
+    /// Marks node `i` for promotion in the current step (the ordering
+    /// point or a delivery mutated it).
+    fn wake(&mut self, i: usize) {
+        if self.woken_set.insert(i) {
+            self.woken.push(i);
+        }
+    }
+
+    /// Debug cross-check of the incremental schedule: the active set,
+    /// every node's armed deadlines and the next wake `incremental`
+    /// must equal what a full scan over `sched` and the nodes computes.
+    #[cfg(debug_assertions)]
+    fn audit_schedule(&self, incremental: Option<(Cycle, WakeSource)>) {
+        let floor = self.cycle + 1;
+        let mut next: Option<(Cycle, WakeSource)> = None;
+        let mut consider = |c: Cycle, src: WakeSource| {
+            let c = c.max(floor);
+            if next.is_none_or(|(n, _)| c < n) {
+                next = Some((c, src));
+            }
+        };
+        if self.sched.iter().any(|s| matches!(s, NodeSched::Active)) {
+            consider(floor, WakeSource::ActiveFloor);
+        }
+        if let Some(c) = self.bus.next_order_cycle(self.cycle) {
+            consider(c, WakeSource::Bus);
+        }
+        if let Some(c) = self.dir.as_ref().and_then(|d| d.next_order_cycle(self.cycle)) {
+            consider(c, WakeSource::Directory);
+        }
+        if let Some(c) = self.net.next_ready() {
+            consider(c, WakeSource::Network);
+        }
+        if let Some(ev) = self.snoops.front() {
+            consider(ev.due, WakeSource::SnoopFront);
+        }
+        for (i, (s, n)) in self.sched.iter().zip(&self.nodes).enumerate() {
+            // Written out rather than via `wake_deadlines`, so the
+            // audit does not share the logic it checks.
+            let deadlines = match *s {
+                NodeSched::Idle { timer, .. } => {
+                    [timer, (!n.core.is_done() && !n.paused).then(|| n.nack_retries.next_due()).flatten()]
+                }
+                _ => [None, None],
+            };
+            assert_eq!(
+                self.active.contains(i),
+                matches!(s, NodeSched::Active),
+                "node {i}: active set disagrees with sched {s:?} at cycle {}",
+                self.cycle
+            );
+            assert_eq!(
+                self.deadlines.armed[i].0, deadlines,
+                "node {i}: armed deadlines are stale at cycle {}",
+                self.cycle
+            );
+            for (c, src) in deadlines.into_iter().zip(DEADLINE_SOURCES) {
+                if let Some(c) = c {
+                    consider(c, src);
+                }
+            }
+        }
+        assert_eq!(incremental, next, "incremental next wake disagrees with the full scan");
     }
 
     /// Settles node `i`'s cached idle charge (or fast-forwards its
@@ -788,8 +934,8 @@ impl Machine {
                     return;
                 }
                 let dt = through - since;
-                self.idle_settles += 1;
-                self.idle_settle_cycles += dt;
+                self.engine.idle_settles += 1;
+                self.engine.idle_settle_cycles += dt;
                 let ns = self.stats.node_mut(i);
                 match charge {
                     // A paused node's tick is a pure return; the
@@ -811,8 +957,8 @@ impl Machine {
                     return;
                 }
                 let w = through - since;
-                self.spin_settles += 1;
-                self.spin_settle_cycles += w;
+                self.engine.spin_settles += 1;
+                self.engine.spin_settle_cycles += w;
                 // Ticks alternate load/branch starting with
                 // `info.next_is_load` at `since + 1`.
                 let first = u64::from(info.next_is_load);
@@ -855,7 +1001,7 @@ impl Machine {
     /// window ends at `cycle - 1` (this cycle's tick charges itself).
     fn make_live(&mut self, i: usize) {
         self.settle_through(i, self.cycle - 1);
-        self.sched[i] = NodeSched::Active;
+        self.set_sched(i, NodeSched::Active);
     }
 
     /// An external driver mutated node `i` at the current cycle
@@ -864,7 +1010,7 @@ impl Machine {
     /// observes the change.
     fn external_touch(&mut self, i: usize) {
         self.settle_through(i, self.cycle);
-        self.sched[i] = NodeSched::Active;
+        self.set_sched(i, NodeSched::Active);
     }
 
     /// Classifies node `i`, mirroring `node_tick`'s branch order
@@ -910,8 +1056,6 @@ impl Machine {
                     .entries()
                     .iter()
                     .all(|e| node.line(e.line).is_some_and(|l| l.state.writable()));
-            if ready {
-            }
             return if ready { NodeSched::Active } else { idle(IdleCharge::CommitWait, None) };
         }
         if now < node.stall_until {
@@ -920,9 +1064,7 @@ impl Machine {
         match node.wait {
             None => match self.detect_spin(i) {
                 Some(info) => NodeSched::Spin { since: anchor, info },
-                None => {
-                    NodeSched::Active
-                }
+                None => NodeSched::Active,
             },
             Some(Wait::Fill { is_lock, .. }) => idle(stall(is_lock), None),
             Some(Wait::StoreBufFull) => {
@@ -1053,11 +1195,13 @@ impl Machine {
     /// phases as [`Machine::step`] but only for live components. Nodes
     /// not woken were classified idle and draw no randomness, record
     /// no events, and change no state — their skipped cycles are
-    /// settled from the cached charge when they next wake.
+    /// settled from the cached charge when they next wake. The cost is
+    /// O(woken nodes + due events): the live set is the active set
+    /// once the woken and due nodes are promoted into it.
     fn step_event(&mut self, target: Cycle) {
         debug_assert!(target > self.cycle);
         self.cycle = target;
-        self.engine_steps += 1;
+        self.engine.steps += 1;
         let fault_traced = self.cfg.faults.enabled && self.trace.is_enabled();
         let (net_before, bus_before) = if fault_traced {
             (
@@ -1068,13 +1212,10 @@ impl Machine {
         } else {
             (0, 0)
         };
-        for w in self.woken.iter_mut() {
-            *w = false;
-        }
         // 1. Order at most one address-bus transaction (or, on
         //    directory machines, up to one request per free home
         //    bank); the ordering point mutates the requester (and the
-        //    NACKing owner), so `order_request` marks them woken.
+        //    NACKing owner), so `order_request` wakes them.
         self.order_phase();
         // 2. Deliver data-network messages; each delivery mutates its
         //    destination. Drained through a reused scratch buffer —
@@ -1086,16 +1227,20 @@ impl Machine {
             msgs.push(msg);
         }
         for msg in msgs.drain(..) {
-            self.woken[msg.destination()] = true;
+            self.wake(msg.destination());
             self.handle_net(msg);
         }
         self.net_scratch = msgs;
-        // Promote everything that must run this cycle.
-        for i in 0..self.nodes.len() {
-            if self.woken[i] || self.node_due(i) {
-                self.make_live(i);
-                self.woken[i] = true;
-            }
+        // Promote everything that must run this cycle: the woken
+        // nodes, and the idle nodes whose timer or NACK retry is due.
+        // Promotion settles only the node's own counters, so its order
+        // is free; afterwards the live set is exactly `active`.
+        while let Some(i) = self.woken.pop() {
+            self.woken_set.remove(i);
+            self.make_live(i);
+        }
+        while let Some(i) = self.deadlines.pop_due(self.cycle) {
+            self.make_live(i);
         }
         // 3. Due snoops, processed at each involved node in node
         //    order (snoop handlers may record trace events and send
@@ -1111,57 +1256,52 @@ impl Machine {
         //    this cycle is charged on the next settle. Uninvolved
         //    nodes are untouched by the event (see [`node_involved`]),
         //    so their cached class — and their settle anchor — stay
-        //    valid as-is.
+        //    valid as-is. A directory snoop is directed: only its
+        //    target set is examined.
         while self.snoops.front().is_some_and(|ev| ev.due <= self.cycle) {
             let ev = self.snoops.pop_front().unwrap();
             let mut touch = std::mem::take(&mut self.snoop_touch);
             touch.clear();
-            touch.extend(self.nodes.iter().map(|n| node_involved(n, &ev)));
+            let (nodes, active) = (&self.nodes, &self.active);
+            let involved = |i: usize| {
+                node_involved(&nodes[i], &ev).then(|| (i, active.contains(i)))
+            };
+            match &ev.targets {
+                Some(t) => touch.extend(t.iter().filter_map(involved)),
+                None => touch.extend((0..nodes.len()).filter_map(involved)),
+            }
             // Settling first is order-safe: it touches only own-node
             // counters and draws no randomness, records no events.
-            for i in 0..self.nodes.len() {
-                if touch[i] && !self.woken[i] {
+            for &(i, live) in &touch {
+                if !live {
                     self.settle_through(i, self.cycle - 1);
                 }
             }
             self.with_ctx(|nodes, ctx| {
-                for (node, &t) in nodes.iter_mut().zip(touch.iter()) {
-                    if t {
-                        snoop_one(node, ctx, &ev);
-                    }
+                for &(i, _) in &touch {
+                    snoop_one(&mut nodes[i], ctx, &ev);
                 }
             });
-            for i in 0..self.nodes.len() {
-                if touch[i] && !self.woken[i] {
-                    match self.classify(i, self.cycle - 1) {
-                        NodeSched::Active => {
-                            self.sched[i] = NodeSched::Active;
-                            self.woken[i] = true;
-                        }
-                        other => self.sched[i] = other,
-                    }
+            for &(i, live) in &touch {
+                if !live {
+                    self.reclassify(i, self.cycle - 1);
                 }
             }
             self.snoop_touch = touch;
         }
-        let woken = std::mem::take(&mut self.woken);
-        let live = self.with_ctx(|nodes, ctx| {
-            let mut live = 0u64;
-            for (node, &w) in nodes.iter_mut().zip(woken.iter()) {
-                if w {
-                    live += 1;
-                    tick_node(node, ctx);
-                }
+        let mut live = std::mem::take(&mut self.live_scratch);
+        live.clear();
+        live.extend(self.active.iter());
+        self.with_ctx(|nodes, ctx| {
+            for &i in &live {
+                tick_node(&mut nodes[i], ctx);
             }
-            live
         });
-        self.engine_live_ticks += live;
-        self.woken = woken;
-        for i in 0..self.nodes.len() {
-            if self.woken[i] {
-                self.sched[i] = self.classify(i, self.cycle);
-            }
+        self.engine.live_ticks += live.len() as u64;
+        for &i in &live {
+            self.reclassify(i, self.cycle);
         }
+        self.live_scratch = live;
         if fault_traced {
             let bus_delta = self.bus.fault_injections() - bus_before;
             if bus_delta > 0 {
@@ -1230,24 +1370,17 @@ impl Machine {
         if self.prof.is_some() {
             let g = self.prof_gauges();
             let elapsed = self.cycle;
-            let (steps, live) = match self.cfg.engine {
-                Engine::EventDriven => (self.engine_steps, self.engine_live_ticks),
+            let mut engine = std::mem::take(&mut self.engine);
+            if self.cfg.engine == Engine::CycleStepped {
                 // The stepped loop has no steps to skip: every cycle is
                 // a step and every node ticks.
-                Engine::CycleStepped => (self.cycle, self.cycle * self.nodes.len() as u64),
-            };
+                engine.steps = elapsed;
+                engine.live_ticks = elapsed * self.nodes.len() as u64;
+            }
+            engine.skipped_cycles = elapsed.saturating_sub(engine.steps);
             if let Some(p) = self.prof.as_deref_mut() {
                 p.finish(elapsed, g);
-                p.engine.steps = steps;
-                p.engine.live_ticks = live;
-                p.engine.skipped_cycles = elapsed.saturating_sub(steps);
-                p.engine.burst_entries = self.burst_entries;
-                p.engine.burst_cycles = self.burst_cycles;
-                p.engine.burst_ticks = self.burst_ticks;
-                p.engine.spin_settles = self.spin_settles;
-                p.engine.spin_settle_cycles = self.spin_settle_cycles;
-                p.engine.idle_settles = self.idle_settles;
-                p.engine.idle_settle_cycles = self.idle_settle_cycles;
+                p.engine = EngineProf { wake: p.engine.wake, ..engine };
             }
         }
         self.prof.take()
@@ -1457,7 +1590,7 @@ impl Machine {
         // The ordering point mutates the requester's state (writeback
         // retirement, self-supply cancellation, the owner ledger): the
         // event engine must run it this cycle.
-        self.woken[req.requester] = true;
+        self.wake(req.requester);
         self.stats.bus.arbitration_wait_cycles += now.saturating_sub(req.enqueued_at);
         match req.kind {
             BusReqKind::WriteBack => {
@@ -1524,7 +1657,7 @@ impl Machine {
                     if let Some(o) = supplier {
                         // The refusal check advances the owner's
                         // logical clock either way.
-                        self.woken[o] = true;
+                        self.wake(o);
                         if self.nack_at_order(o, &req) {
                             let deliver = now + self.cfg.latency.snoop;
                             self.net.send(
@@ -3541,5 +3674,28 @@ mod tests {
         let err = m.run().unwrap_err();
         assert!(err.cycle >= 5_000);
         assert!(err.to_string().contains("did not quiesce"));
+    }
+
+    #[test]
+    fn deadline_heap_breaks_ties_like_the_node_scan() {
+        let mut d = Deadlines::new(4);
+        d.arm(2, [Some(10), None]);
+        d.arm(1, [Some(12), Some(10)]);
+        // Equal cycles: the lower node wins, whatever its slot.
+        assert_eq!(d.next_wake(5), Some((10, WakeSource::RetryTimer)));
+        // Re-arming retires the node's older entries.
+        d.arm(1, [Some(12), None]);
+        assert_eq!(d.next_wake(5), Some((10, WakeSource::IdleTimer)));
+        assert_eq!(d.earliest(), Some(10));
+        // Overdue deadlines clamp to the floor, and the lowest node
+        // among everything at the floor wins — not the earliest entry
+        // (node 3's overdue timer tops the heap).
+        d.arm(3, [Some(4), None]);
+        d.arm(0, [None, Some(11)]);
+        assert_eq!(d.next_wake(11), Some((11, WakeSource::RetryTimer)));
+        // Promotion pops every node due by `now`, in heap order.
+        assert_eq!(d.pop_due(10), Some(3));
+        assert_eq!(d.pop_due(10), Some(2));
+        assert_eq!(d.pop_due(10), None);
     }
 }

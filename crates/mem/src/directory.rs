@@ -26,8 +26,8 @@
 //! direct a spurious (no-op) invalidation, but never lets two owners
 //! coexist.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use tlr_sim::events::Schedulable;
 use tlr_sim::fault::NetFault;
@@ -91,10 +91,17 @@ impl NodeSet {
         })
     }
 
-    /// Members in ascending id order.
+    /// Members in ascending id order; O(words + members).
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| w * 64 + b)
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
         })
     }
 
@@ -160,6 +167,13 @@ pub struct Directory {
     banks: Vec<Bank>,
     occupancy: u64,
     req_latency: u64,
+    /// The ready set: one `(busy_until, bank)` entry for every bank
+    /// with a non-empty FIFO, keyed by the end of its occupancy window.
+    /// A bank's `busy_until` changes only when it orders, and it is
+    /// then out of the heap, so no entry is ever stale.
+    ready: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// Scratch: the banks free to order at the current tick.
+    due_scratch: Vec<usize>,
     /// Requests sitting in bank FIFOs (arrived, not yet ordered).
     queued: usize,
     /// Total requests ordered across all banks.
@@ -178,6 +192,8 @@ impl Directory {
             banks: (0..banks.max(1)).map(|_| Bank { queue: VecDeque::new(), busy_until: 0 }).collect(),
             occupancy,
             req_latency,
+            ready: BinaryHeap::new(),
+            due_scratch: Vec::new(),
             queued: 0,
             ordered: 0,
         }
@@ -206,23 +222,41 @@ impl Directory {
     /// Delivers every request flight due at or before `now` into its
     /// home bank FIFO, then orders at most one request per free bank
     /// (bank-index order, which keeps both engines byte-identical),
-    /// appending the ordered requests to `out`.
+    /// appending the ordered requests to `out`. Costs O(arrivals +
+    /// free banks), not O(banks): only the ready set is consulted.
     pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<BusRequest>) {
         let nbanks = self.banks.len();
         while let Some(req) = self.inbound.pop_ready(now) {
-            self.banks[req.home_bank(nbanks)].queue.push_back(req);
+            let b = req.home_bank(nbanks);
+            let bank = &mut self.banks[b];
+            if bank.queue.is_empty() {
+                self.ready.push(Reverse((bank.busy_until, b)));
+            }
+            bank.queue.push_back(req);
             self.queued += 1;
         }
-        for bank in &mut self.banks {
-            if bank.busy_until <= now {
-                if let Some(req) = bank.queue.pop_front() {
-                    bank.busy_until = now + self.occupancy;
-                    self.queued -= 1;
-                    self.ordered += 1;
-                    out.push(req);
-                }
+        let mut due = std::mem::take(&mut self.due_scratch);
+        while let Some(&Reverse((t, b))) = self.ready.peek() {
+            if t > now {
+                break;
             }
+            self.ready.pop();
+            due.push(b);
         }
+        due.sort_unstable();
+        for &b in &due {
+            let bank = &mut self.banks[b];
+            let req = bank.queue.pop_front().expect("ready banks are non-empty");
+            bank.busy_until = now + self.occupancy;
+            if !bank.queue.is_empty() {
+                self.ready.push(Reverse((bank.busy_until, b)));
+            }
+            self.queued -= 1;
+            self.ordered += 1;
+            out.push(req);
+        }
+        due.clear();
+        self.due_scratch = due;
     }
 
     /// The ordering decision for `req` against the current entry,
@@ -341,20 +375,12 @@ impl Directory {
 
     /// The next cycle at which [`Directory::tick_into`] can make
     /// progress: the earliest in-flight arrival, or the earliest
-    /// busy-window expiry of a bank with queued work. `None` when
-    /// nothing is pending (then a tick is a guaranteed no-op).
+    /// busy-window expiry of a bank with queued work (the ready set's
+    /// minimum). `None` when nothing is pending (then a tick is a
+    /// guaranteed no-op).
     pub fn next_order_cycle(&self, now: Cycle) -> Option<Cycle> {
-        let mut wake: Option<Cycle> = None;
-        let mut consider = |c: Cycle| wake = Some(wake.map_or(c, |w: Cycle| w.min(c)));
-        if let Some(c) = self.inbound.next_ready() {
-            consider(c.max(now + 1));
-        }
-        for bank in &self.banks {
-            if !bank.queue.is_empty() {
-                consider(bank.busy_until.max(now + 1));
-            }
-        }
-        wake
+        let bank = self.ready.peek().map(|&Reverse((t, _))| t);
+        [self.inbound.next_ready(), bank].into_iter().flatten().min().map(|c| c.max(now + 1))
     }
 }
 
@@ -503,6 +529,23 @@ mod tests {
         assert_eq!(dir.next_wake(13), Some(14));
         assert_eq!(ordered_at(&mut dir, 14).len(), 1);
         assert_eq!(dir.next_order_cycle(14), None);
+    }
+
+    #[test]
+    fn free_banks_order_in_bank_index_order_not_expiry_order() {
+        let mut dir = Directory::new(4, 2, 4, 0);
+        dir.send(0, req(0, 1, BusReqKind::GetS)); // bank 1, busy until 4
+        assert_eq!(ordered_at(&mut dir, 0).len(), 1);
+        dir.send(2, req(1, 0, BusReqKind::GetS)); // bank 0, busy until 6
+        assert_eq!(ordered_at(&mut dir, 2).len(), 1);
+        dir.send(3, req(2, 1, BusReqKind::GetS));
+        dir.send(3, req(3, 0, BusReqKind::GetS));
+        assert!(ordered_at(&mut dir, 3).is_empty(), "both banks busy");
+        assert_eq!(dir.next_order_cycle(3), Some(4), "bank 1 frees first");
+        // Bank 1's window expired first, but bank 0 orders first.
+        let both = ordered_at(&mut dir, 10);
+        assert_eq!(both.iter().map(|r| r.requester).collect::<Vec<_>>(), vec![3, 2]);
+        assert_eq!(dir.next_order_cycle(10), None);
     }
 
     #[test]
