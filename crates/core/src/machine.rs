@@ -14,9 +14,9 @@
 //! * resource-exhaustion fallback to actual lock acquisition (§3.3),
 //! * restartable critical sections and de-scheduling (§4).
 //!
-//! The machine runs under one of two engines (selected by
-//! [`tlr_sim::config::Engine`]): the legacy cycle-stepped loop, which
-//! ticks every component every cycle, and the default discrete-event
+//! One step kernel runs under one of two schedulers (the engine is
+//! selected by [`tlr_sim::config::Engine`]): the cycle-stepped oracle,
+//! which ticks every node every cycle, and the default discrete-event
 //! engine, which jumps the clock straight to the next scheduled wake
 //! and lazily charges idle-cycle statistics. Both are fully
 //! deterministic for a given configuration and seed and produce
@@ -119,18 +119,6 @@ impl Ctx<'_> {
     }
 }
 
-/// Whether `TLR_DEBUG` diagnostics are enabled (checked once).
-fn debug_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TLR_DEBUG").is_some())
-}
-
-macro_rules! dbglog {
-    ($($t:tt)*) => {
-        if debug_enabled() { eprintln!($($t)*); }
-    };
-}
-
 /// What one cycle of an idle node would have charged to its stats had
 /// the cycle-stepped engine ticked it. The event engine caches this at
 /// classification time and settles `charge x window` on wake, so the
@@ -149,6 +137,18 @@ enum IdleCharge {
     SbFull,
     /// `commit_wait_cycles` (committing, write set not yet writable).
     CommitWait,
+}
+
+/// The two schedulers of the one step kernel ([`Machine::step_to`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scheduler {
+    /// The cycle-stepped oracle ([`Machine::step`]): nodes are never
+    /// re-classified after their tick, so all stay `Active` and every
+    /// node runs every cycle.
+    EveryNode,
+    /// The event engine ([`Machine::advance_within`]): each live node
+    /// is re-classified after its tick and may park until a wake.
+    WokenSet,
 }
 
 /// The event engine's per-node schedule state.
@@ -365,10 +365,9 @@ pub struct Machine {
     /// lives in the event itself.
     snoops: VecDeque<SnoopEvent>,
     /// Event-engine schedule state per node. Stays all-`Active` under
-    /// the cycle-stepped engine (and for externally stepped machines),
-    /// which makes the lazy settling a no-op there. Written only
-    /// through [`Machine::set_sched`], which keeps `active` and
-    /// `deadlines` in step with it.
+    /// [`Machine::step`], which makes the lazy settling a no-op there.
+    /// Written only through [`Machine::set_sched`], which keeps
+    /// `active` and `deadlines` in step with it.
     sched: Vec<NodeSched>,
     /// The nodes whose `sched` is `Active`, in index order.
     active: NodeSet,
@@ -598,41 +597,29 @@ impl Machine {
     /// exhausted first (livelock would show up here; TLR's guarantees
     /// make that a bug, and the integration tests rely on it).
     pub fn run(&mut self) -> Result<(), SimTimeout> {
-        match self.cfg.engine {
-            Engine::CycleStepped => self.run_cycle_stepped(),
-            Engine::EventDriven => self.run_event_driven(),
-        }
-    }
-
-    /// The legacy engine: every component ticks every cycle. Kept as
-    /// the in-repo oracle the event engine is differentially tested
-    /// against.
-    fn run_cycle_stepped(&mut self) -> Result<(), SimTimeout> {
         while !self.is_quiesced() {
             if self.cycle >= self.cfg.max_cycles {
-                return Err(SimTimeout { cycle: self.cycle });
-            }
-            self.step();
-        }
-        self.finalize_stats();
-        Ok(())
-    }
-
-    /// The discrete-event engine: the clock jumps straight to the next
-    /// scheduled wake; skipped idle cycles are charged lazily.
-    fn run_event_driven(&mut self) -> Result<(), SimTimeout> {
-        while !self.is_quiesced() {
-            if self.cycle >= self.cfg.max_cycles {
-                // The stepped engine charged idle nodes through the
-                // final cycle before giving up; settle to match.
+                // The oracle charged idle nodes through the final
+                // cycle before giving up; settle to match.
                 self.settle_idle_charges();
                 return Err(SimTimeout { cycle: self.cycle });
             }
-            self.advance_within(self.cfg.max_cycles);
+            self.advance(self.cfg.max_cycles);
         }
         self.settle_idle_charges();
         self.finalize_stats();
         Ok(())
+    }
+
+    /// One advance under the configured engine, never past `bound`:
+    /// [`Machine::step`] for the cycle-stepped oracle,
+    /// [`Machine::advance_within`] for the event engine. The only place
+    /// the engine choice is made.
+    pub(crate) fn advance(&mut self, bound: Cycle) {
+        match self.cfg.engine {
+            Engine::CycleStepped => self.step(),
+            Engine::EventDriven => self.advance_within(bound),
+        }
     }
 
     /// One event-engine advance: jumps to the earliest scheduled wake,
@@ -654,7 +641,7 @@ impl Machine {
                 _ => WakeSource::Bound,
             });
         }
-        self.step_event(target);
+        self.step_to(target, Scheduler::WokenSet);
         self.burst_within(bound);
         self.maybe_sample();
     }
@@ -689,7 +676,7 @@ impl Machine {
             return;
         }
         // Fault-injection tracing records per-cycle injection deltas in
-        // `step_event`'s epilogue; burst cycles would misplace them.
+        // `step_to`'s epilogue; burst cycles would misplace them.
         if self.cfg.faults.enabled && self.trace.is_enabled() {
             return;
         }
@@ -1191,17 +1178,22 @@ impl Machine {
         })
     }
 
-    /// Advances the machine to cycle `target`, running the same four
-    /// phases as [`Machine::step`] but only for live components. Nodes
-    /// not woken were classified idle and draw no randomness, record
-    /// no events, and change no state — their skipped cycles are
-    /// settled from the cached charge when they next wake. The cost is
-    /// O(woken nodes + due events): the live set is the active set
-    /// once the woken and due nodes are promoted into it.
-    fn step_event(&mut self, target: Cycle) {
+    /// The step kernel: advances the machine to cycle `target` and
+    /// runs the four phases (order, deliver, snoop, tick) for the live
+    /// components. Nodes not live were classified idle and draw no
+    /// randomness, record no events, and change no state — their
+    /// skipped cycles are settled from the cached charge when they
+    /// next wake. The cost is O(woken nodes + due events): the live set
+    /// is the active set once the woken and due nodes are promoted into
+    /// it. Under [`Scheduler::EveryNode`] no node ever leaves the
+    /// active set, so every phase visits every node, exactly as the
+    /// cycle-stepped loop did.
+    fn step_to(&mut self, target: Cycle, scheduler: Scheduler) {
         debug_assert!(target > self.cycle);
         self.cycle = target;
         self.engine.steps += 1;
+        // Fabric fault hooks count injections internally; traced chaos
+        // runs surface each step's delta as events at node 0.
         let fault_traced = self.cfg.faults.enabled && self.trace.is_enabled();
         let (net_before, bus_before) = if fault_traced {
             (
@@ -1244,7 +1236,7 @@ impl Machine {
         }
         // 3. Due snoops, processed at each involved node in node
         //    order (snoop handlers may record trace events and send
-        //    network messages, so the stepped engine's order must be
+        //    network messages, so the oracle's order must be
         //    preserved; bus dues are strictly increasing, so at most
         //    one event is due per step and the per-event node loop
         //    matches the per-node event loop exactly). A sleeping
@@ -1289,17 +1281,25 @@ impl Machine {
             }
             self.snoop_touch = touch;
         }
+        // 4. Tick the live nodes in index order: every node under the
+        //    oracle (all `Active`, without walking the bitset), else
+        //    the active set.
         let mut live = std::mem::take(&mut self.live_scratch);
         live.clear();
-        live.extend(self.active.iter());
+        match scheduler {
+            Scheduler::EveryNode => live.extend(0..self.nodes.len()),
+            Scheduler::WokenSet => live.extend(self.active.iter()),
+        }
         self.with_ctx(|nodes, ctx| {
             for &i in &live {
                 tick_node(&mut nodes[i], ctx);
             }
         });
         self.engine.live_ticks += live.len() as u64;
-        for &i in &live {
-            self.reclassify(i, self.cycle);
+        if scheduler == Scheduler::WokenSet {
+            for &i in &live {
+                self.reclassify(i, self.cycle);
+            }
         }
         self.live_scratch = live;
         if fault_traced {
@@ -1371,12 +1371,6 @@ impl Machine {
             let g = self.prof_gauges();
             let elapsed = self.cycle;
             let mut engine = std::mem::take(&mut self.engine);
-            if self.cfg.engine == Engine::CycleStepped {
-                // The stepped loop has no steps to skip: every cycle is
-                // a step and every node ticks.
-                engine.steps = elapsed;
-                engine.live_ticks = elapsed * self.nodes.len() as u64;
-            }
             engine.skipped_cycles = elapsed.saturating_sub(engine.steps);
             if let Some(p) = self.prof.as_deref_mut() {
                 p.finish(elapsed, g);
@@ -1404,7 +1398,6 @@ impl Machine {
         }
         // Every started elision must have ended exactly one way; drift
         // here means a counter was forgotten somewhere in this file.
-        #[cfg(debug_assertions)]
         if self.nodes.iter().all(|n| n.txn.is_none()) {
             if let Err(e) = self.stats.check_txn_accounting() {
                 panic!("{e}");
@@ -1413,7 +1406,6 @@ impl Machine {
         // Every elapsed node-cycle must be charged to exactly one
         // category. Only checkable once all idle charges are settled,
         // which quiescence-path callers guarantee.
-        #[cfg(debug_assertions)]
         if self.is_quiesced() {
             if let Err(e) = self.stats.check_cycle_accounting() {
                 panic!("{e}");
@@ -1501,67 +1493,17 @@ impl Machine {
         f(&mut self.nodes, &mut ctx)
     }
 
-    /// Advances the machine by one cycle.
+    /// Advances the machine by one cycle, ticking every node: the
+    /// cycle-stepped oracle, whatever `cfg.engine` selects. The event
+    /// engine's wake sources, classification, settling and burst mode
+    /// play no part, so the differential walls check them against it.
     pub fn step(&mut self) {
-        self.cycle += 1;
-        // Fabric fault hooks count injections internally; traced chaos
-        // runs surface each cycle's delta as events at node 0.
-        let fault_traced = self.cfg.faults.enabled && self.trace.is_enabled();
-        let (net_before, bus_before) = if fault_traced {
-            (
-                self.net.fault_injections()
-                    + self.dir.as_ref().map_or(0, |d| d.fault_injections()),
-                self.bus.fault_injections(),
-            )
-        } else {
-            (0, 0)
-        };
-        // 1. Order at most one address-bus transaction (or up to one
-        //    per free home bank on directory machines).
-        self.order_phase();
-        // 2. Deliver data-network messages.
-        let msgs = self.net.drain_ready(self.cycle);
-        for msg in msgs {
-            self.handle_net(msg);
-        }
-        // 3. Process due snoops at each involved node, then tick each
-        //    node. One context serves a whole phase — rebuilding it
-        //    per node dominated the profile at full scale.
-        while self.snoops.front().is_some_and(|ev| ev.due <= self.cycle) {
-            let ev = self.snoops.pop_front().unwrap();
-            self.with_ctx(|nodes, ctx| {
-                for node in nodes.iter_mut() {
-                    if node_involved(node, &ev) {
-                        snoop_one(node, ctx, &ev);
-                    }
-                }
-            });
-        }
-        self.with_ctx(|nodes, ctx| {
-            for node in nodes.iter_mut() {
-                tick_node(node, ctx);
-            }
-        });
-        if fault_traced {
-            let bus_delta = self.bus.fault_injections() - bus_before;
-            if bus_delta > 0 {
-                self.trace.record(
-                    self.cycle,
-                    0,
-                    TraceKind::FaultInjected { kind: "bus_arbitration", payload: bus_delta },
-                );
-            }
-            let net_delta = self.net.fault_injections()
-                + self.dir.as_ref().map_or(0, |d| d.fault_injections())
-                - net_before;
-            if net_delta > 0 {
-                self.trace.record(
-                    self.cycle,
-                    0,
-                    TraceKind::FaultInjected { kind: "net_delay", payload: net_delta },
-                );
-            }
-        }
+        debug_assert_eq!(
+            self.active.len(),
+            self.nodes.len(),
+            "step() on a machine whose event engine parked nodes"
+        );
+        self.step_to(self.cycle + 1, Scheduler::EveryNode);
         self.maybe_sample();
     }
 
@@ -1570,6 +1512,10 @@ impl Machine {
     /// occupancy window has expired, in bank-index order. The fixed
     /// bank order keeps the cycle-stepped and event engines' RNG draw
     /// sequences identical.
+    // Out of line on purpose: the step kernel is the only caller, and
+    // inlined there this body bloats the per-step loop (slower ticks on
+    // both schedulers under tlr-perf).
+    #[inline(never)]
     fn order_phase(&mut self) {
         if let Some(d) = self.dir.as_mut() {
             let mut ordered = std::mem::take(&mut self.dir_scratch);
@@ -1612,12 +1558,6 @@ impl Machine {
                 }
             }
             BusReqKind::GetS | BusReqKind::GetX => {
-                if debug_enabled() {
-                    eprintln!(
-                        "[{}] ORDER n{} {:?} line={} owner={:?}",
-                        now, req.requester, req.kind, req.line.0, self.owner.get(&req.line)
-                    );
-                }
                 if req.kind == BusReqKind::GetX {
                     self.stats.bus.get_x += 1;
                 } else {
@@ -1681,7 +1621,6 @@ impl Machine {
                     }
                 }
                 if supplier.is_none() {
-                    dbglog!("[{}] MEMSUPPLY line={} to={} self_owner={}", now, req.line.0, req.requester, self_owner);
                     // The requester's own un-ordered writeback holds
                     // newer data than memory: serve (and cancel) it.
                     if let Some(p) = self.nodes[req.requester].pending_wb_mut(req.line) {
@@ -1832,6 +1771,8 @@ impl Machine {
     }
 
     /// Delivers one data-network message.
+    // Out of line on purpose, like `order_phase`.
+    #[inline(never)]
     fn handle_net(&mut self, msg: NetMsg) {
         self.with_ctx(|nodes, ctx| deliver_one(nodes, ctx, msg));
     }
@@ -1840,7 +1781,6 @@ impl Machine {
 /// Delivers one data-network message to its destination node.
 fn deliver_one(nodes: &mut [Node], ctx: &mut Ctx, msg: NetMsg) {
     let to = msg.destination();
-    dbglog!("[{}] n{} NET {}", ctx.now, to, msg.label());
     let node = &mut nodes[to];
     match msg {
         NetMsg::Data { line, data, grant, from_cache, .. } => {
@@ -1999,7 +1939,6 @@ fn issue_miss(node: &mut Node, ctx: &mut Ctx, line: LineAddr, exclusive: bool, t
     }
     let e = node.mshrs.alloc(MshrEntry::new(line, exclusive, ts)).expect("mshr alloc");
     e.issued = true;
-    dbglog!("[{}] n{} issue_miss line={} x={}", ctx.now, node.id, line.0, exclusive);
     ctx.send_req(
         node.id,
         BusRequest {
@@ -2092,7 +2031,6 @@ fn supply_from_line(node: &mut Node, ctx: &mut Ctx, line: LineAddr, to: NodeId, 
     } else {
         l.state = outcome.next;
     }
-    dbglog!("[{}] n{} SUPPLY line={} to={} x={}", ctx.now, node.id, line.0, to, exclusive);
     ctx.net.send(ctx.now + delay, NetMsg::Data { to, line, data, grant, from_cache: true });
     ctx.stats.cache_to_cache_transfers += 1;
 }
@@ -2163,7 +2101,6 @@ fn abort_txn(node: &mut Node, ctx: &mut Ctx, kind: AbortKind, line: Option<LineA
             TraceKind::TxnRestart { line: line.map_or(0, |l| l.0) },
         );
     }
-    dbglog!("[{}] n{} ABORT {:?}", ctx.now, node.id, kind);
     if kind == AbortKind::SharerInvalidation {
         node.sharer_inval_streak += 1;
     } else if kind.forces_fallback() {
@@ -2227,12 +2164,9 @@ fn try_commit(node: &mut Node, ctx: &mut Ctx) {
     }
     let txn = node.txn.take().expect("commit without transaction");
     for e in node.wb.entries().to_vec() {
-        let id = node.id;
         let l = node.line_mut(e.line).expect("writable line vanished at commit");
         tlr_mem::WriteBuffer::apply_entry(&e, &mut l.data);
         l.state = Moesi::Modified;
-        let w0 = l.data.0[0];
-        dbglog!("[{}] n{} COMMIT line={} w0={:#x}", ctx.now, id, e.line.0, w0);
     }
     // Footprint scan before the spec bits are cleared; the cache walk
     // only runs when the trace is on.
@@ -2357,7 +2291,6 @@ fn drain_store_buffer(node: &mut Node, ctx: &mut Ctx) {
             l.data.set_word(addr, val);
             l.state = Moesi::Modified;
             node.sb.pop();
-            dbglog!("[{}] n{} STORE [{:#x}]={:#x}", ctx.now, node.id, addr.0, val);
             return;
         }
     }
@@ -2500,6 +2433,8 @@ fn owner_conflict(node: &mut Node, ctx: &mut Ctx, req: &BusRequest) {
 }
 
 /// Processes one snooped bus transaction at this node.
+// Out of line on purpose, like `Machine::order_phase`.
+#[inline(never)]
 fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
     let req = &ev.req;
     let line = req.line;
@@ -2669,7 +2604,6 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
 /// Supplies a request from the memory side after a stale-owner snoop
 /// miss.
 fn redirect_to_memory(ctx: &mut Ctx, req: &BusRequest, other_sharers: bool) {
-    dbglog!("[{}] REDIRECT line={} to={} kind={:?}", ctx.now, req.line.0, req.requester, req.kind);
     let _ = other_sharers;
     let (data, res) = ctx.memsys.supply(req.line);
     if res.l2_hit {
@@ -2700,7 +2634,6 @@ fn handle_fill(
     from_cache: bool,
 ) {
     let _ = from_cache;
-    dbglog!("[{}] n{} FILL line={} grant={:?} ivs={} w2={:#x}", ctx.now, node.id, line.0, grant, node.mshrs.get(line).map(|m| m.interventions.len()).unwrap_or(99), data.0[2]);
     let mshr = node.mshrs.remove(line).expect("fill without MSHR");
     // Replace any existing copy (e.g. the Shared copy an exclusive
     // request upgraded over), carrying over its transactional access
@@ -2812,7 +2745,6 @@ fn complete_access_after_fill(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, li
                 let old = l.data.word(acc.addr);
                 l.data.set_word(acc.addr, val);
                 l.state = Moesi::Modified;
-                dbglog!("[{}] n{} SCf [{:#x}]={:#x} (old {:#x})", ctx.now, node.id, acc.addr.0, val, old);
                 node.core.complete_sc(true);
                 let ns = ctx.stats.node_mut(node.id);
                 ns.sc_success += 1;
@@ -2945,7 +2877,6 @@ fn chain_supply(node: &mut Node, ctx: &mut Ctx, line: LineAddr, iv: &Interventio
     } else if l.state == Moesi::Exclusive {
         l.state = Moesi::Shared;
     }
-    dbglog!("[{}] n{} CHAIN line={} to={} x={} w2={:#x}", ctx.now, node.id, line.0, iv.from, iv.exclusive, data.0[2]);
     ctx.net.send(ctx.now + delay, NetMsg::Data { to: iv.from, line, data, grant, from_cache: true });
     ctx.stats.cache_to_cache_transfers += 1;
 }
@@ -3493,7 +3424,6 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
         let old = l.data.word(acc.addr);
         l.data.set_word(acc.addr, val);
         l.state = Moesi::Modified;
-        dbglog!("[{}] n{} SC [{:#x}]={:#x} (old {:#x})", ctx.now, node.id, acc.addr.0, val, old);
         node.core.complete_sc(true);
         let ns = ctx.stats.node_mut(node.id);
         ns.sc_success += 1;
@@ -3697,5 +3627,53 @@ mod tests {
         assert_eq!(d.pop_due(10), Some(3));
         assert_eq!(d.pop_due(10), Some(2));
         assert_eq!(d.pop_due(10), None);
+    }
+
+    #[test]
+    fn oracle_step_ticks_every_node_every_cycle() {
+        // Node 1 spins on a line node 0 writes late, so the event
+        // engine would park it; `step` must tick it anyway, even on a
+        // machine configured for the event engine.
+        let mut cfg = MachineConfig::small(Scheme::Tlr, 2);
+        cfg.engine = Engine::EventDriven;
+        cfg.profile = tlr_sim::prof::ProfConfig::on();
+        let writer = |a: &mut Asm| {
+            let (v, addr) = (a.reg(), a.reg());
+            for _ in 0..200 {
+                a.li(v, 1);
+            }
+            a.li(addr, 0x1000);
+            a.li(v, 9);
+            a.store(v, addr, 0);
+        };
+        let spinner = |a: &mut Asm| {
+            let (v, addr, nine) = (a.reg(), a.reg(), a.reg());
+            a.li(addr, 0x1000);
+            a.li(nine, 9);
+            let spin = a.here();
+            a.load(v, addr, 0);
+            a.bne(v, nine, spin);
+        };
+        let programs = [writer as fn(&mut Asm), spinner]
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let mut a = Asm::new(format!("p{i}"));
+                b(&mut a);
+                a.done();
+                Arc::new(a.finish())
+            })
+            .collect();
+        let mut m = Machine::new(cfg, programs, HashSet::new());
+        while !m.is_quiesced() {
+            m.step();
+        }
+        m.finalize_stats();
+        let elapsed = m.stats().elapsed_cycles;
+        let e = m.take_profile().expect("profiling is on").engine;
+        assert!(elapsed > 200);
+        assert_eq!(e.steps, elapsed);
+        assert_eq!(e.live_ticks, elapsed * 2);
+        assert_eq!(e.skipped_cycles, 0);
     }
 }

@@ -18,7 +18,6 @@
 //! for the lock-free guarantee to hold — a preempted transaction is
 //! discarded and retried.
 
-use tlr_sim::config::Engine;
 use tlr_sim::{Cycle, NodeId};
 
 use crate::machine::{Machine, SimTimeout};
@@ -65,7 +64,6 @@ pub struct PreemptionReport {
 pub fn run_preemptive(machine: &mut Machine, p: Preemption) -> Result<PreemptionReport, SimTimeout> {
     let procs = machine.config().num_procs;
     let max_cycles = machine.config().max_cycles;
-    let event_driven = machine.config().engine == Engine::EventDriven;
     let mut report = PreemptionReport::default();
     let mut next_victim: NodeId = 0;
     let mut paused: Option<(NodeId, Cycle)> = None;
@@ -97,22 +95,17 @@ pub fn run_preemptive(machine: &mut Machine, p: Preemption) -> Result<Preemption
             }
             next_preempt = machine.cycle() + p.quantum;
         }
-        if event_driven {
-            // Event jumps must land exactly on every cycle at which
-            // this loop intervenes, so bound them by the armed
-            // deadline: the resume cycle while a thread is paused
-            // (preemption checks are deferred until then, exactly as
-            // in the stepped loop), else the next preemption boundary.
-            // Each bound is strictly in the future: the checks above
-            // fired and reset any that were due.
-            let bound = max_cycles.min(match paused {
-                Some((_, resume_at)) => resume_at,
-                None => next_preempt,
-            });
-            machine.advance_within(bound);
-        } else {
-            machine.step();
-        }
+        // Event jumps must land exactly on every cycle at which this
+        // loop intervenes, so bound them by the armed deadline: the
+        // resume cycle while a thread is paused (preemption checks are
+        // deferred until then), else the next preemption boundary.
+        // Each bound is strictly in the future: the checks above fired
+        // and reset any that were due.
+        let bound = max_cycles.min(match paused {
+            Some((_, resume_at)) => resume_at,
+            None => next_preempt,
+        });
+        machine.advance(bound);
     }
     if let Some((victim, _)) = paused {
         machine.reschedule(victim);

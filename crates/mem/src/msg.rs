@@ -142,17 +142,6 @@ impl NetMsg {
             | NetMsg::Nack { to, .. } => to,
         }
     }
-
-    /// Short lowercase label, used by debug logs when chaos runs need
-    /// to attribute a reordered delivery to a message kind.
-    pub fn label(&self) -> &'static str {
-        match self {
-            NetMsg::Data { .. } => "data",
-            NetMsg::Marker { .. } => "marker",
-            NetMsg::Nack { .. } => "nack",
-            NetMsg::Probe { .. } => "probe",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,9 +170,5 @@ mod tests {
         assert_eq!(m.destination(), 1);
         let p = NetMsg::Probe { to: 2, line: LineAddr(9), ts: Timestamp::new(0, 0), karma: 0 };
         assert_eq!(p.destination(), 2);
-        assert_eq!(d.label(), "data");
-        assert_eq!(m.label(), "marker");
-        assert_eq!(p.label(), "probe");
-        assert_eq!(NetMsg::Nack { to: 0, line: LineAddr(9) }.label(), "nack");
     }
 }

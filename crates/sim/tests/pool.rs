@@ -101,19 +101,24 @@ fn serial_cancellation_skips_every_later_job() {
 
 #[test]
 fn parallel_panic_cancels_pending_jobs() {
-    // Job 0 panics immediately; jobs 2.. each take long enough that by
-    // the time any worker claims them the cancel flag is set. Claimed
-    // jobs (index 1 may already be running on the second worker) are
-    // allowed to finish.
+    // Job 0 panics immediately; every other job blocks until the
+    // cancel flag is set, so no worker can claim a job from index 2 on
+    // before the cancellation lands. Claimed jobs (index 1 may already
+    // be running on the second worker) are allowed to finish. The wait
+    // is bounded so a cancellation bug fails the test instead of
+    // hanging it.
     let pool = Pool::new(2);
     let n = 10usize;
     let jobs: Vec<Job<usize>> = (0..n)
         .map(|i| {
-            Job::new(coords("cascade", i, 0), move |_| {
+            Job::new(coords("cascade", i, 0), move |token: &CancelToken| {
                 if i == 0 {
                     panic!("first cell fails");
                 }
-                std::thread::sleep(Duration::from_millis(20));
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while !token.is_cancelled() && std::time::Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 i
             })
         })
