@@ -29,7 +29,7 @@
 //!   (seed, config) pair via the shrinker;
 //! * [`timing`] — a small host-time benchmark harness (mean / median /
 //!   iteration counts, optional JSON output) replacing `criterion` for
-//!   the `cargo bench` targets;
+//!   `tlr-perf`'s kernel suite;
 //! * [`diff`] — the differential engine-equivalence harness: runs a
 //!   machine under both the discrete-event engine and the
 //!   cycle-stepped oracle and demands byte-identical stats, traces,

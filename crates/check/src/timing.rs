@@ -4,15 +4,11 @@
 //! Each benchmark is auto-calibrated: the batch size doubles until one
 //! batch exceeds a minimum duration, then several batches are timed
 //! and the per-iteration mean/median/min are reported as a text table
-//! or as JSON (`--json`). The harness deliberately has no statistics
-//! beyond that — simulator benchmarks are macro-scale (whole runs of
-//! thousands of simulated cycles), where median-of-batches is stable
-//! enough to spot regressions.
-//!
-//! Benchmark targets using this harness must set `harness = false`
-//! (and should set `test = false`) in `Cargo.toml`; cargo still passes
-//! `--bench` on the command line, which [`TimingOpts::from_args`]
-//! ignores.
+//! or as JSON ([`TimingOpts::json`]). The harness deliberately has no
+//! statistics beyond that — simulator benchmarks are macro-scale
+//! (whole runs of thousands of simulated cycles), where
+//! median-of-batches is stable enough to spot regressions.
+//! `tlr-perf`'s kernel suite is its one client.
 
 use std::time::Instant;
 
@@ -42,30 +38,6 @@ impl Default for TimingOpts {
 }
 
 impl TimingOpts {
-    /// Parses process arguments: `--quick` (3 samples, 1 ms batches),
-    /// `--json`, `--jobs N` (anything but 1 is rejected when the suite
-    /// starts); `--bench`/`--test` and free arguments are ignored so
-    /// the binary survives however cargo invokes it.
-    pub fn from_args() -> Self {
-        let mut o = TimingOpts::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => {
-                    o.samples = 3;
-                    o.min_batch_ns = 1_000_000;
-                }
-                "--json" => o.json = true,
-                "--jobs" => {
-                    let v = args.next().expect("--jobs needs a worker count");
-                    o.jobs = v.parse().expect("bad job count");
-                }
-                _ => {}
-            }
-        }
-        o
-    }
-
     /// Checks that the options are usable for wall-clock measurement.
     ///
     /// # Errors

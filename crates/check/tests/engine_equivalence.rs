@@ -4,7 +4,10 @@
 //! (including chaos streams), on explicit fault-intensity sweeps, and
 //! on the workload families behind every figure/table binary.
 
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use tlr_check::diff::{check_engines, trace_digest};
 use tlr_check::fuzz::arbitrary_config;
@@ -12,10 +15,13 @@ use tlr_check::oracle::OracleWorkload;
 use tlr_check::{prop, Source};
 use tlr_core::run::{build_machine, WorkloadSpec};
 use tlr_core::{run_preemptive, Machine, Preemption};
+use tlr_cpu::{Asm, Program};
+use tlr_mem::Addr;
 use tlr_sim::config::{Engine, Interconnect, MachineConfig, RetentionPolicy, Scheme};
 use tlr_sim::fault::FaultConfig;
 use tlr_sim::pool::Pool;
 use tlr_sim::prof::{EngineProf, ProfConfig, WakeSource};
+use tlr_sync::tatas::{self, TatasRegs};
 use tlr_workloads::{apps, micro};
 
 /// One differential case: a fuzzed configuration (geometry, latencies,
@@ -250,4 +256,155 @@ fn event_engine_matches_oracle_under_preemption_at_64_procs() {
         },
     );
     assert!(wakes(&e, WakeSource::Bound) > 0, "the preemption bound never pinned a step");
+}
+
+// The parked-snoop cells' lock word and data words, each on a line of
+// its own; the reader's `k`-th critical section misses on
+// `Y + k * 0x1000`.
+const LOCK: u64 = 0x1000;
+const X: u64 = 0x2000;
+const Z: u64 = 0x3000;
+const Y: u64 = 0x10000;
+
+/// A traced, profiled two-processor TLR bus machine running `programs`,
+/// with `LOCK` as its one lock word.
+fn parked_snoop_machine(engine: Engine, programs: &[Arc<Program>]) -> Machine {
+    let mut cfg = MachineConfig::paper_default(Scheme::Tlr, programs.len());
+    cfg.engine = engine;
+    cfg.profile = ProfConfig::on();
+    cfg.max_cycles = 1_000_000;
+    let mut m = Machine::new(cfg, programs.to_vec(), HashSet::from([Addr(LOCK)]));
+    m.enable_trace_with_capacity(1 << 12);
+    m
+}
+
+/// Three critical sections under `LOCK`, each reading `first` and
+/// then a fresh line from `Y` on. The SLE predictor learns the lock on
+/// the first pass, so the later passes are transactions, and each
+/// one's cold miss parks the node on a fill while `first` sits in its
+/// read set.
+fn reader(first: u64) -> Arc<Program> {
+    let mut a = Asm::new("reader");
+    let (lock, addr, wait_on, n, v) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+    let r = TatasRegs::alloc(&mut a);
+    tatas::init_regs(&mut a, &r);
+    a.li(lock, LOCK);
+    a.li(addr, first);
+    a.li(wait_on, Y);
+    a.li(n, 3);
+    a.delay(20);
+    let top = a.here();
+    tatas::acquire(&mut a, lock, &r);
+    a.load(v, addr, 0);
+    a.load(v, wait_on, 0);
+    tatas::release(&mut a, lock, &r);
+    a.addi(wait_on, wait_on, 0x1000);
+    a.addi(n, n, -1);
+    a.bne(n, r.zero, top);
+    a.done();
+    Arc::new(a.finish())
+}
+
+/// Optionally reads `early` at once, then after `delay` cycles reads or
+/// (with `store`) writes `addr` outside any critical section.
+fn toucher(early: Option<u64>, delay: u32, addr: u64, store: bool) -> Arc<Program> {
+    let mut a = Asm::new("toucher");
+    let (p, v) = (a.reg(), a.reg());
+    if let Some(e) = early {
+        a.li(p, e);
+        a.load(v, p, 0);
+    }
+    a.delay(delay);
+    a.li(p, addr);
+    a.li(v, 1);
+    if store {
+        a.store(v, p, 0);
+    } else {
+        a.load(v, p, 0);
+    }
+    a.done();
+    Arc::new(a.finish())
+}
+
+#[test]
+fn snoop_abort_wakes_a_node_parked_on_a_fill() {
+    // Node 1 reads X first, so node 0's read of X fills Shared. In a
+    // later critical section node 0 re-reads X transactionally and
+    // parks on its miss to a fresh line. Node 1's store to X
+    // invalidates the Shared copy: a sharer invalidation, which aborts
+    // the transaction. The abort changes the parked node's schedule
+    // key (transaction, wait, restart penalty), so the event engine
+    // must re-classify it at that snoop instead of letting its idle
+    // window run on. The delay sweep lands the store in and around
+    // the fill window.
+    let aborted = Cell::new(0);
+    for delay in (0..=1000).step_by(25) {
+        let programs = [reader(X), toucher(Some(X), delay, X, true)];
+        assert_engines_identical(
+            &format!("sharer invalidation of a parked reader, delay {delay}"),
+            |eng| parked_snoop_machine(eng, &programs),
+            |m| {
+                m.run().expect("quiesces");
+                aborted.set(aborted.get() + m.stats().nodes[0].restarts_sharer_invalidation);
+            },
+        );
+    }
+    assert!(aborted.get() > 0, "no delay produced a sharer-invalidation abort");
+}
+
+/// Runs `m` to quiescence one advance at a time, as [`Machine::run`]
+/// does, and counts the advances in which a cache supplied a line
+/// while node 0 sat in a transaction, parked and not settled: after
+/// the advance node 0's charged cycles still lag the clock by more
+/// than one cycle. A settle charges through `cycle - 1` and a tick
+/// through `cycle`, so only a node neither settled nor ticked in that
+/// advance qualifies. (Outside a transaction node 0 can also supply Z
+/// from a fill delivery, which wakes it only for the next cycle.) The
+/// oracle ticks every node every cycle and never counts one.
+fn run_counting_parked_supplies(m: &mut Machine) -> u64 {
+    let mut kept = 0;
+    while !m.is_quiesced() {
+        assert!(m.cycle() < m.config().max_cycles, "timed out at cycle {}", m.cycle());
+        let (supplied, in_txn) = (m.stats().cache_to_cache_transfers, m.in_txn(0));
+        match m.config().engine {
+            Engine::EventDriven => m.advance_within(m.config().max_cycles),
+            Engine::CycleStepped => m.step(),
+        }
+        let s = m.stats();
+        if in_txn
+            && m.in_txn(0)
+            && s.cache_to_cache_transfers > supplied
+            && s.nodes[0].attributed_cycles() + 1 < m.cycle()
+        {
+            kept += 1;
+        }
+    }
+    m.settle_idle_charges();
+    m.finalize_stats();
+    kept
+}
+
+#[test]
+fn snoop_of_an_unrelated_line_keeps_a_parked_node_asleep() {
+    // Node 0 reads Z inside its transactions (Exclusive: nobody else
+    // holds it) and parks on a miss to a fresh line in each. Node 1's
+    // read of Z is supplied by node 0, which drops its copy to Shared.
+    // Nothing the parked node's class rests on changes, so it keeps
+    // its class and settle window: the event engine must not settle
+    // it at that snoop, and the oracle must still agree byte for byte.
+    let kept = Cell::new(0);
+    for delay in (0..=1000).step_by(25) {
+        let programs = [reader(Z), toucher(None, delay, Z, false)];
+        assert_engines_identical(
+            &format!("unrelated snoop of a parked reader, delay {delay}"),
+            |eng| parked_snoop_machine(eng, &programs),
+            |m| {
+                let n = run_counting_parked_supplies(m);
+                if m.config().engine == Engine::EventDriven {
+                    kept.set(kept.get() + n);
+                }
+            },
+        );
+    }
+    assert!(kept.get() > 0, "no delay had node 0 supply Z while parked and unsettled");
 }

@@ -25,6 +25,7 @@
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use tlr_cpu::{AccessKind, Core, CoreStep, MemAccess, Op, Program};
@@ -63,6 +64,35 @@ impl std::fmt::Display for SimTimeout {
 
 impl std::error::Error for SimTimeout {}
 
+/// A multiplicative hasher for the machine's address-keyed tables,
+/// whose keys ([`Addr`], [`LineAddr`]) each hash as one `u64`. Much
+/// cheaper than the default SipHash, and safe here: the keys are
+/// simulated addresses, not adversarial input, and nothing iterates
+/// these tables, so no iteration order can leak into the output.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; rotate them
+        // into the low bits the table indexes by (aligned addresses
+        // would otherwise leave those zero).
+        self.0.rotate_left(26)
+    }
+}
+
+type WordHash = BuildHasherDefault<WordHasher>;
+
 /// Machine-global context threaded through the controller logic so a
 /// node can be mutated while the shared structures stay reachable.
 struct Ctx<'a> {
@@ -75,14 +105,10 @@ struct Ctx<'a> {
     /// interconnect; coherence requests then travel point-to-point to
     /// their home bank instead of arbitrating for the bus.
     dir: Option<&'a mut Directory>,
-    /// The protocol-owner ledger; kept in the context for policy
-    /// extensions that must follow bus order when touching it.
-    #[allow(dead_code)]
-    owner: &'a mut HashMap<LineAddr, NodeId>,
     stats: &'a mut MachineStats,
     trace: &'a mut Trace,
     rng: &'a mut SimRng,
-    lock_addrs: &'a HashSet<Addr>,
+    lock_addrs: &'a HashSet<Addr, WordHash>,
     /// The conflict-resolution policy every decision point consults
     /// (stateless; resolved once from `cfg.policy`).
     policy: &'static dyn ConflictPolicy,
@@ -210,6 +236,64 @@ struct SpinInfo {
     /// Program counter of the load instruction (the branch is at
     /// `load_pc + 1`).
     load_pc: u32,
+}
+
+/// The node state an `Idle` class rests on, as far as a snoop can
+/// change it. A parked `Idle` node whose key a snoop left unchanged
+/// keeps its class and settle window: a snoop never makes a line
+/// writable and never retires an MSHR, so the buffer probes the class
+/// was proved with ([`sb_drain_idle`], [`pending_x_idle`], commit
+/// readiness) can only stay true, and every other input of
+/// [`Machine::classify`] is in the key. The node's armed deadlines
+/// ([`Machine::wake_deadlines`]) also stay valid: the timer comes from
+/// the class, done and paused are in the key, and a snoop never
+/// schedules or cancels NACK retries (`nack_retries` changes only in
+/// a NACK delivery and the live tick's retry pass), which is why
+/// `nack_retries` is not in the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SchedKey {
+    done: bool,
+    done_at: bool,
+    paused: bool,
+    /// `None` outside a transaction, else whether it is committing.
+    txn: Option<bool>,
+    wait: Option<Wait>,
+    stall_until: Cycle,
+    sb: usize,
+    mshrs: usize,
+    pending_x: usize,
+}
+
+impl SchedKey {
+    fn of(node: &Node) -> Self {
+        SchedKey {
+            done: node.core.is_done(),
+            done_at: node.done_at.is_some(),
+            paused: node.paused,
+            txn: node.txn.as_ref().map(|t| t.committing),
+            wait: node.wait,
+            stall_until: node.stall_until,
+            sb: node.sb.len(),
+            mshrs: node.mshrs.len(),
+            pending_x: node.txn_pending_x.len(),
+        }
+    }
+}
+
+/// A node a due snoop involves, by its schedule class going in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Touched {
+    /// Ticks this cycle anyway.
+    Live,
+    /// Parked `Idle`. If it still says so after the snoop, the snoop
+    /// changed its [`SchedKey`]: it is settled and re-classified.
+    Idle,
+    /// Parked `Idle` and the snoop left its [`SchedKey`] alone: it
+    /// keeps its class and settle window.
+    Kept,
+    /// Parked in a spin loop: the snoop may change the spun line's
+    /// value or LRU position, so it is settled and re-classified.
+    Spin,
 }
 
 /// Whether draining the store buffer is provably a no-op: nothing
@@ -349,11 +433,11 @@ pub struct Machine {
     /// In the real broadcast system every snooper derives this from
     /// the observed request stream; centralizing it changes no
     /// ordering or timing (see `DESIGN.md`).
-    owner: HashMap<LineAddr, NodeId>,
+    owner: HashMap<LineAddr, NodeId, WordHash>,
     stats: MachineStats,
     trace: Trace,
     rng: SimRng,
-    lock_addrs: HashSet<Addr>,
+    lock_addrs: HashSet<Addr, WordHash>,
     /// The conflict-resolution policy (stateless, shared static),
     /// resolved from `cfg.policy` at construction.
     policy: &'static dyn ConflictPolicy,
@@ -386,8 +470,8 @@ pub struct Machine {
     /// Scratch: the nodes ticking this step or burst (capacity reuse).
     live_scratch: Vec<usize>,
     /// Scratch: the nodes involved in the snoop being processed, each
-    /// with whether it was already live (capacity reuse).
-    snoop_touch: Vec<(usize, bool)>,
+    /// with its class going in (capacity reuse).
+    snoop_touch: Vec<(usize, Touched)>,
     /// Every node below this index has a finished core: the
     /// quiescence check's early-out. Cores never un-finish, so it
     /// only moves forward (amortized O(1) per check).
@@ -471,11 +555,11 @@ impl Machine {
             dir,
             net,
             memsys: MemorySystem::new(cfg.l2_sets, cfg.l2_ways, cfg.latency.l2, cfg.latency.memory),
-            owner: HashMap::new(),
+            owner: HashMap::default(),
             stats,
             trace: Trace::new(),
             rng,
-            lock_addrs,
+            lock_addrs: lock_addrs.into_iter().collect(),
             policy: policy_for(cfg.policy),
             nodes,
             cycle: 0,
@@ -675,6 +759,11 @@ impl Machine {
         {
             return;
         }
+        // The step just run may have finished the last thread: the
+        // driver loop stops at quiescence, so no burst cycle may follow.
+        if self.is_quiesced() {
+            return;
+        }
         // Fault-injection tracing records per-cycle injection deltas in
         // `step_to`'s epilogue; burst cycles would misplace them.
         if self.cfg.faults.enabled && self.trace.is_enabled() {
@@ -824,8 +913,13 @@ impl Machine {
     /// the deadline heap in step with the node's new class. Every
     /// change to a node's timers, retries, done or paused state
     /// happens in a live tick, a snoop, a delivery or ordering-point
-    /// visit (both wake the node), or an external touch, and each of
-    /// those ends here, so the armed deadlines never go stale.
+    /// visit (both wake the node), or an external touch. Each of those
+    /// ends here, except a snoop that leaves a parked `Idle` node's
+    /// [`SchedKey`] alone: its timer, done and paused inputs are in
+    /// the key, and a snoop never schedules or cancels NACK retries
+    /// (only a NACK delivery and the live tick's retry pass do), so
+    /// the node's armed deadlines still hold. Either way they never go
+    /// stale.
     fn set_sched(&mut self, i: usize, s: NodeSched) {
         if matches!(s, NodeSched::Active) {
             self.active.insert(i);
@@ -838,10 +932,14 @@ impl Machine {
     }
 
     /// Classifies node `i` (see [`Machine::classify`]) and records the
-    /// result through [`Machine::set_sched`].
+    /// result through [`Machine::set_sched`]. A node that stays
+    /// `Active` is already in the active set with nothing armed, so
+    /// that common case writes nothing.
     fn reclassify(&mut self, i: usize, anchor: Cycle) -> NodeSched {
         let s = self.classify(i, anchor);
-        self.set_sched(i, s);
+        if !matches!((s, self.sched[i]), (NodeSched::Active, NodeSched::Active)) {
+            self.set_sched(i, s);
+        }
         s
     }
 
@@ -855,7 +953,10 @@ impl Machine {
 
     /// Debug cross-check of the incremental schedule: the active set,
     /// every node's armed deadlines and the next wake `incremental`
-    /// must equal what a full scan over `sched` and the nodes computes.
+    /// must equal what a full scan over `sched` and the nodes computes,
+    /// and every parked `Idle` node must re-classify to its cached
+    /// charge and timer (snoops that leave its [`SchedKey`] alone do
+    /// not re-classify it).
     #[cfg(debug_assertions)]
     fn audit_schedule(&self, incremental: Option<(Cycle, WakeSource)>) {
         let floor = self.cycle + 1;
@@ -885,7 +986,19 @@ impl Machine {
             // Written out rather than via `wake_deadlines`, so the
             // audit does not share the logic it checks.
             let deadlines = match *s {
-                NodeSched::Idle { timer, .. } => {
+                NodeSched::Idle { since, charge, timer } => {
+                    match self.classify(i, since) {
+                        NodeSched::Idle { charge: c, timer: t, .. } => assert!(
+                            (c, t) == (charge, timer),
+                            "node {i}: cached idle class {charge:?}/{timer:?} is stale \
+                             ({c:?}/{t:?}) at cycle {}",
+                            self.cycle
+                        ),
+                        fresh => panic!(
+                            "node {i}: parked idle but classifies {fresh:?} at cycle {}",
+                            self.cycle
+                        ),
+                    }
                     [timer, (!n.core.is_done() && !n.paused).then(|| n.nack_retries.next_due()).flatten()]
                 }
                 _ => [None, None],
@@ -1011,7 +1124,52 @@ impl Machine {
     /// live tick, the previous cycle when re-classifying a sleeping
     /// node after lazily processing its due snoops (its tick at the
     /// current cycle was skipped and will be charged by settling).
+    ///
+    /// Most classifications follow a tick that executed an
+    /// instruction, so the conclusive-`Active` test runs first (see
+    /// [`Machine::surely_active`]); debug builds check it against the
+    /// full branch walk.
     fn classify(&self, i: usize, anchor: Cycle) -> NodeSched {
+        if self.surely_active(i) {
+            debug_assert!(
+                matches!(self.classify_full(i, anchor), NodeSched::Active),
+                "node {i}: conclusive-Active test disagrees with classify at cycle {}",
+                self.cycle
+            );
+            return NodeSched::Active;
+        }
+        self.classify_full(i, anchor)
+    }
+
+    /// Whether node `i` is `Active` by a short test: it runs (not done,
+    /// not paused), waits on nothing (no wait record, stall expired, no
+    /// committing transaction), and its next instruction cannot start
+    /// a spin loop (the core is not ready, or the op is neither a load
+    /// nor a branch). Every later arm of [`Machine::classify_full`]
+    /// returns `Active` for such a node: the fault and buffer-probe
+    /// arms only ever return `Active`, the commit, stall and wait arms
+    /// are excluded, and [`Machine::detect_spin`] needs a ready core at
+    /// a load or branch.
+    fn surely_active(&self, i: usize) -> bool {
+        let node = &self.nodes[i];
+        let core = &node.core;
+        if core.is_done()
+            || node.paused
+            || node.wait.is_some()
+            || self.cycle < node.stall_until
+            || node.txn.as_ref().is_some_and(|t| t.committing)
+        {
+            return false;
+        }
+        !core.is_ready()
+            || !matches!(
+                core.program().op(core.pc()),
+                Some(Op::Load(..) | Op::Beq(..) | Op::Bne(..) | Op::Blt(..) | Op::Bge(..))
+            )
+    }
+
+    /// The full classification walk behind [`Machine::classify`].
+    fn classify_full(&self, i: usize, anchor: Cycle) -> NodeSched {
         let node = &self.nodes[i];
         let now = self.cycle;
         let idle = |charge, timer| NodeSched::Idle { since: anchor, charge, timer };
@@ -1240,43 +1398,70 @@ impl Machine {
         //    preserved; bus dues are strictly increasing, so at most
         //    one event is due per step and the per-event node loop
         //    matches the per-node event loop exactly). A sleeping
-        //    involved node settles its skipped window first (the snoop
-        //    may change the very state its cached class was proved
-        //    against), then re-classifies: if the snoop made it
-        //    runnable it joins this cycle's tick phase, otherwise it
-        //    stays asleep anchored at `cycle - 1` so the tick it skips
-        //    this cycle is charged on the next settle. Uninvolved
-        //    nodes are untouched by the event (see [`node_involved`]),
-        //    so their cached class — and their settle anchor — stay
-        //    valid as-is. A directory snoop is directed: only its
-        //    target set is examined.
+        //    involved node whose class the snoop may have changed
+        //    settles its skipped window and re-classifies: if the
+        //    snoop made it runnable it joins this cycle's tick phase,
+        //    otherwise it stays asleep anchored at `cycle - 1` so the
+        //    tick it skips this cycle is charged on the next settle.
+        //    An `Idle` node whose [`SchedKey`] the snoop left alone
+        //    keeps its class, so its settle window simply continues.
+        //    Uninvolved nodes are untouched by the event (see
+        //    [`node_involved`]), so their cached class — and their
+        //    settle anchor — stay valid as-is. A directory snoop is
+        //    directed: only its target set is examined.
         while self.snoops.front().is_some_and(|ev| ev.due <= self.cycle) {
             let ev = self.snoops.pop_front().unwrap();
             let mut touch = std::mem::take(&mut self.snoop_touch);
             touch.clear();
-            let (nodes, active) = (&self.nodes, &self.active);
+            let (nodes, sched) = (&self.nodes, &self.sched);
             let involved = |i: usize| {
-                node_involved(&nodes[i], &ev).then(|| (i, active.contains(i)))
+                node_involved(&nodes[i], &ev).then(|| {
+                    let class = match sched[i] {
+                        NodeSched::Active => Touched::Live,
+                        NodeSched::Idle { .. } => Touched::Idle,
+                        NodeSched::Spin { .. } => Touched::Spin,
+                    };
+                    (i, class)
+                })
             };
             match &ev.targets {
                 Some(t) => touch.extend(t.iter().filter_map(involved)),
                 None => touch.extend((0..nodes.len()).filter_map(involved)),
             }
-            // Settling first is order-safe: it touches only own-node
-            // counters and draws no randomness, records no events.
-            for &(i, live) in &touch {
-                if !live {
+            // A spinner settles before the snoop, whose change to the
+            // spun line would end the loop. Settling is order-safe: it
+            // touches only own-node state and counters and draws no
+            // randomness, records no events. An idle settle reads only
+            // the cached charge, so it may follow the snoop.
+            for &(i, class) in &touch {
+                if class == Touched::Spin {
                     self.settle_through(i, self.cycle - 1);
                 }
             }
             self.with_ctx(|nodes, ctx| {
-                for &(i, _) in &touch {
-                    snoop_one(&mut nodes[i], ctx, &ev);
+                for (i, class) in &mut touch {
+                    let node = &mut nodes[*i];
+                    if *class == Touched::Idle {
+                        let key = SchedKey::of(node);
+                        snoop_one(node, ctx, &ev);
+                        if SchedKey::of(node) == key {
+                            *class = Touched::Kept;
+                        }
+                    } else {
+                        snoop_one(node, ctx, &ev);
+                    }
                 }
             });
-            for &(i, live) in &touch {
-                if !live {
-                    self.reclassify(i, self.cycle - 1);
+            for &(i, class) in &touch {
+                match class {
+                    Touched::Live | Touched::Kept => {}
+                    Touched::Idle => {
+                        self.settle_through(i, self.cycle - 1);
+                        self.reclassify(i, self.cycle - 1);
+                    }
+                    Touched::Spin => {
+                        self.reclassify(i, self.cycle - 1);
+                    }
                 }
             }
             self.snoop_touch = touch;
@@ -1482,7 +1667,6 @@ impl Machine {
             memsys: &mut self.memsys,
             bus: &mut self.bus,
             dir: self.dir.as_mut(),
-            owner: &mut self.owner,
             stats: &mut self.stats,
             trace: &mut self.trace,
             rng: &mut self.rng,
@@ -1634,7 +1818,6 @@ impl Machine {
                                 line: req.line,
                                 data,
                                 grant: DataGrant::Modified,
-                                from_cache: true,
                             },
                         );
                         let due = now + self.cfg.latency.snoop;
@@ -1643,7 +1826,6 @@ impl Machine {
                             order_cycle: now,
                             req,
                             supplier: None,
-                            other_sharers,
                             targets,
                         });
                         return;
@@ -1668,7 +1850,6 @@ impl Machine {
                                 line: req.line,
                                 data,
                                 grant: DataGrant::Modified,
-                                from_cache: true,
                             },
                         );
                     } else {
@@ -1688,7 +1869,7 @@ impl Machine {
                             + jitter;
                         self.net.send(
                             deliver,
-                            NetMsg::Data { to: req.requester, line: req.line, data, grant, from_cache: false },
+                            NetMsg::Data { to: req.requester, line: req.line, data, grant },
                         );
                     }
                 }
@@ -1698,7 +1879,6 @@ impl Machine {
                     order_cycle: now,
                     req,
                     supplier,
-                    other_sharers,
                     targets,
                 });
             }
@@ -1783,9 +1963,7 @@ fn deliver_one(nodes: &mut [Node], ctx: &mut Ctx, msg: NetMsg) {
     let to = msg.destination();
     let node = &mut nodes[to];
     match msg {
-        NetMsg::Data { line, data, grant, from_cache, .. } => {
-            handle_fill(node, ctx, line, data, grant, from_cache)
-        }
+        NetMsg::Data { line, data, grant, .. } => handle_fill(node, ctx, line, data, grant),
         NetMsg::Marker { from, line, .. } => handle_marker(node, ctx, line, from),
         NetMsg::Nack { line, .. } => handle_nack(node, ctx, line),
         NetMsg::Probe { line, ts, karma, .. } => handle_probe(node, ctx, line, Prio::new(ts, karma)),
@@ -1827,13 +2005,23 @@ fn node_involved(node: &Node, ev: &SnoopEvent) -> bool {
 /// `paused_cycles` — keeping every category's historical value intact
 /// while the per-node sum lands exactly on the run's elapsed cycles
 /// ([`tlr_sim::stats::NodeStats::check_cycle_accounting`]).
+///
+/// That identity also holds *before* every tick: both schedulers
+/// settle a node's skipped cycles through `now - 1` before it runs at
+/// `now`. So one category sum after the tick tells whether it charged.
 fn tick_node(node: &mut Node, ctx: &mut Ctx) {
-    let before = ctx.stats.node_mut(node.id).attributed_cycles();
+    debug_assert_eq!(
+        ctx.stats.node_mut(node.id).attributed_cycles(),
+        ctx.now - 1,
+        "node {}: cycles before the tick at {} are not all charged",
+        node.id,
+        ctx.now
+    );
     tick_node_inner(node, ctx);
     let ns = ctx.stats.node_mut(node.id);
-    let delta = ns.attributed_cycles() - before;
-    debug_assert!(delta <= 1, "node {} tick charged {delta} cycle categories", node.id);
-    if delta == 0 {
+    let charged = ns.attributed_cycles();
+    debug_assert!(charged <= ctx.now, "node {} tick charged several cycle categories", node.id);
+    if charged < ctx.now {
         if node.paused && !node.core.is_done() {
             ns.paused_cycles += 1;
         } else {
@@ -1889,7 +2077,6 @@ fn tick_node_inner(node: &mut Node, ctx: &mut Ctx) {
         retry_wait(node, ctx);
         return;
     }
-    node.instr_snapshot();
     match node.core.tick() {
         CoreStep::Busy => ctx.stats.node_mut(node.id).busy_cycles += 1,
         CoreStep::Waiting => {
@@ -1917,11 +2104,6 @@ fn tick_node_inner(node: &mut Node, ctx: &mut Ctx) {
 }
 
 impl Node {
-    fn instr_snapshot(&mut self) {
-        // placeholder for symmetric bookkeeping; instruction counts are
-        // read from the core on commit below.
-    }
-
     fn commit_instructions(&mut self, stats: &mut MachineStats) {
         stats.node_mut(self.id).instructions = self.core.instructions;
     }
@@ -2010,7 +2192,7 @@ fn supply_from_line(node: &mut Node, ctx: &mut Ctx, line: LineAddr, to: NodeId, 
             p.cancelled = true;
         }
         let grant = if exclusive { DataGrant::Modified } else { DataGrant::Shared };
-        ctx.net.send(ctx.now + delay, NetMsg::Data { to, line, data, grant, from_cache: true });
+        ctx.net.send(ctx.now + delay, NetMsg::Data { to, line, data, grant });
         ctx.stats.cache_to_cache_transfers += 1;
         return;
     }
@@ -2031,7 +2213,7 @@ fn supply_from_line(node: &mut Node, ctx: &mut Ctx, line: LineAddr, to: NodeId, 
     } else {
         l.state = outcome.next;
     }
-    ctx.net.send(ctx.now + delay, NetMsg::Data { to, line, data, grant, from_cache: true });
+    ctx.net.send(ctx.now + delay, NetMsg::Data { to, line, data, grant });
     ctx.stats.cache_to_cache_transfers += 1;
 }
 
@@ -2242,11 +2424,10 @@ fn revalidate_elided_locks(node: &mut Node, ctx: &mut Ctx) -> LockRecheck {
     }
     for &(addr, free) in &locks {
         let line = addr.line();
-        let l = node.line_mut(line).expect("checked resident above");
-        if l.data.word(addr) != free {
+        if node.line_mut(line).expect("checked resident above").data.word(addr) != free {
             return LockRecheck::Held;
         }
-        l.spec_read = true;
+        node.mark_spec(line, false);
     }
     if let Some(t) = node.txn.as_mut() {
         t.lock_recheck = false;
@@ -2507,17 +2688,15 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
         return;
     }
     // 2. Line resident?
-    if node.line(line).is_some() {
-        let (state, conflicts, acquired_at) = {
-            let l = node.line(line).unwrap();
-            (l.state, node.txn.is_some() && l.conflicts_with(exclusive), l.acquired_at)
-        };
+    if let Some(l) = node.line(line) {
+        let (state, conflicts, acquired_at) =
+            (l.state, node.txn.is_some() && l.conflicts_with(exclusive), l.acquired_at);
         // Stale snoop: this copy was produced by a request ordered
         // *after* the snooped one, which was therefore satisfied by
         // the chain upstream of us. It cannot touch this copy.
         if acquired_at > ev.order_cycle {
             if supplier {
-                redirect_to_memory(ctx, req, ev.other_sharers);
+                redirect_to_memory(ctx, req);
             }
             return;
         }
@@ -2575,7 +2754,7 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
             l.state = outcome.next;
         }
         if supplier {
-            redirect_to_memory(ctx, req, ev.other_sharers);
+            redirect_to_memory(ctx, req);
         }
         return;
     }
@@ -2589,7 +2768,7 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
             }
             let grant = if exclusive { DataGrant::Modified } else { DataGrant::Shared };
             let delay = ctx.data_latency();
-            ctx.net.send(ctx.now + delay, NetMsg::Data { to: req.requester, line, data, grant, from_cache: true });
+            ctx.net.send(ctx.now + delay, NetMsg::Data { to: req.requester, line, data, grant });
             ctx.stats.cache_to_cache_transfers += 1;
         }
         return;
@@ -2597,14 +2776,13 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
     // 4. Nothing here; if the ledger pointed at us it is stale (a
     //    silently evicted clean line): memory supplies.
     if supplier {
-        redirect_to_memory(ctx, req, ev.other_sharers);
+        redirect_to_memory(ctx, req);
     }
 }
 
 /// Supplies a request from the memory side after a stale-owner snoop
 /// miss.
-fn redirect_to_memory(ctx: &mut Ctx, req: &BusRequest, other_sharers: bool) {
-    let _ = other_sharers;
+fn redirect_to_memory(ctx: &mut Ctx, req: &BusRequest) {
     let (data, res) = ctx.memsys.supply(req.line);
     if res.l2_hit {
         ctx.stats.l2_supplies += 1;
@@ -2619,21 +2797,13 @@ fn redirect_to_memory(ctx: &mut Ctx, req: &BusRequest, other_sharers: bool) {
     let delay = res.latency + ctx.data_latency();
     ctx.net.send(
         ctx.now + delay,
-        NetMsg::Data { to: req.requester, line: req.line, data, grant, from_cache: false },
+        NetMsg::Data { to: req.requester, line: req.line, data, grant },
     );
 }
 
 /// Handles an arriving data response: installs the line, completes the
 /// blocked core access, then services the intervention chain in order.
-fn handle_fill(
-    node: &mut Node,
-    ctx: &mut Ctx,
-    line: LineAddr,
-    data: tlr_mem::LineData,
-    grant: DataGrant,
-    from_cache: bool,
-) {
-    let _ = from_cache;
+fn handle_fill(node: &mut Node, ctx: &mut Ctx, line: LineAddr, data: tlr_mem::LineData, grant: DataGrant) {
     let mshr = node.mshrs.remove(line).expect("fill without MSHR");
     // Replace any existing copy (e.g. the Shared copy an exclusive
     // request upgraded over), carrying over its transactional access
@@ -2651,14 +2821,14 @@ fn handle_fill(
         entry.spec_read = old.spec_read;
         entry.spec_written = old.spec_written;
     }
-    if node.txn.is_some() && node.wb.contains_line(line) {
-        entry.spec_written = true;
-    }
+    let spec_write = node.txn.is_some() && node.wb.contains_line(line);
     if install_line(node, ctx, entry).is_err() {
         // A transactional line fell out of the victim cache: resource
         // fallback (§3.3). Speculative bits are cleared by the abort,
         // so the installed line stays resident as a normal line.
         abort_txn(node, ctx, AbortKind::Resource, Some(line));
+    } else if spec_write {
+        node.mark_spec(line, true);
     }
     // Complete the blocked core access, if it targets this line.
     if let (Some(acc), Some(Wait::Fill { line: wline, is_lock })) = (node.waiting_access, node.wait) {
@@ -2706,15 +2876,12 @@ fn handle_fill(
 }
 
 fn complete_access_after_fill(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, line: LineAddr, is_lock: bool) {
-    let _ = is_lock;
     match acc.kind {
         AccessKind::Load { .. } | AccessKind::LoadLinked { .. } => {
-            let in_txn = node.txn.is_some();
-            let l = node.line_mut(line).expect("filled line resident");
-            if in_txn {
-                l.spec_read = true;
+            let v = node.line_mut(line).expect("filled line resident").data.word(acc.addr);
+            if node.txn.is_some() {
+                node.mark_spec(line, false);
             }
-            let v = l.data.word(acc.addr);
             node.core.complete_load(v);
             if matches!(acc.kind, AccessKind::Load { .. }) {
                 node.rmw_pred.record_load(acc.pc, line);
@@ -2849,7 +3016,7 @@ fn chain_supply(node: &mut Node, ctx: &mut Ctx, line: LineAddr, iv: &Interventio
                 p.cancelled = true;
             }
             let grant = if iv.exclusive { DataGrant::Modified } else { DataGrant::Shared };
-            ctx.net.send(ctx.now + delay, NetMsg::Data { to: iv.from, line, data, grant, from_cache: true });
+            ctx.net.send(ctx.now + delay, NetMsg::Data { to: iv.from, line, data, grant });
             ctx.stats.cache_to_cache_transfers += 1;
             return;
         }
@@ -2877,7 +3044,7 @@ fn chain_supply(node: &mut Node, ctx: &mut Ctx, line: LineAddr, iv: &Interventio
     } else if l.state == Moesi::Exclusive {
         l.state = Moesi::Shared;
     }
-    ctx.net.send(ctx.now + delay, NetMsg::Data { to: iv.from, line, data, grant, from_cache: true });
+    ctx.net.send(ctx.now + delay, NetMsg::Data { to: iv.from, line, data, grant });
     ctx.stats.cache_to_cache_transfers += 1;
 }
 
@@ -3157,14 +3324,16 @@ fn handle_load(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, is_lock: bool) {
             return;
         }
     }
-    if node.line(line).is_some() {
-        let hit_in_victim = !node.l1.contains(line);
-        let l = node.line_mut(line).unwrap();
+    // One lookup per structure: an L1 hit refreshes LRU order, a
+    // victim-cache hit does not.
+    let hit = match node.l1.get_mut(line) {
+        Some(l) => Some((l.state, l.data.word(acc.addr), false)),
+        None => node.victim.peek(line).map(|l| (l.state, l.data.word(acc.addr), true)),
+    };
+    if let Some((state, v, hit_in_victim)) = hit {
         if in_txn {
-            l.spec_read = true;
+            node.mark_spec(line, false);
         }
-        let state = l.state;
-        let v = l.data.word(acc.addr);
         node.core.complete_load(v);
         if !is_ll {
             node.rmw_pred.record_load(acc.pc, line);
@@ -3200,13 +3369,13 @@ fn handle_load(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, is_lock: bool) {
         let data = p.data;
         let mut entry = CacheLine::new(line, Moesi::Modified, data);
         entry.acquired_at = ctx.now;
-        if in_txn {
-            entry.spec_read = true;
-        }
         let v = data.word(acc.addr);
         if install_line(node, ctx, entry).is_err() {
             abort_txn(node, ctx, AbortKind::Resource, Some(line));
             return;
+        }
+        if in_txn {
+            node.mark_spec(line, false);
         }
         node.core.complete_load(v);
         if !is_ll {
@@ -3275,14 +3444,15 @@ fn handle_store(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_loc
             return;
         }
         node.rmw_pred.record_store(line);
-        let mut need_exclusive = true;
-        if let Some(l) = node.line_mut(line) {
-            l.spec_written = true;
-            if l.state.writable() {
-                need_exclusive = false;
+        let writable = match node.line_mut(line) {
+            Some(l) => {
+                let writable = l.state.writable();
+                node.mark_spec(line, true);
+                writable
             }
-        }
-        if need_exclusive && !node.line(line).is_some_and(|l| l.state.writable()) {
+            None => false,
+        };
+        if !writable {
             if node.mshrs.get(line).is_none() && enforce_ts_order_before_miss(node, ctx, line) {
                 return;
             }
@@ -3346,7 +3516,10 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
                     pc: acc.pc,
                     closed: false,
                 });
-                node.line_mut(line).expect("lock line resident").spec_read = true;
+                // The elided store-conditional is an access: it refreshes the
+                // lock line's LRU position, then joins it to the read set.
+                node.line_mut(line).expect("lock line resident");
+                node.mark_spec(line, false);
                 node.core.complete_sc(true);
                 ctx.stats.node_mut(node.id).sc_elided += 1;
                 charge_busy(node, ctx, is_lock);
@@ -3367,7 +3540,10 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
                 },
                 ctx.now,
             ));
-            node.line_mut(line).expect("lock line resident").spec_read = true;
+            // The elided store-conditional is an access: it refreshes the
+            // lock line's LRU position, then joins it to the read set.
+            node.line_mut(line).expect("lock line resident");
+            node.mark_spec(line, false);
             node.core.complete_sc(true);
             let ns = ctx.stats.node_mut(node.id);
             ns.sc_elided += 1;
@@ -3393,8 +3569,9 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
         node.rmw_pred.record_store(line);
         let needs_issue = match node.line_mut(line) {
             Some(l) => {
-                l.spec_written = true;
-                !l.state.writable() && node.mshrs.get(line).is_none()
+                let writable = l.state.writable();
+                node.mark_spec(line, true);
+                !writable && node.mshrs.get(line).is_none()
             }
             None => node.mshrs.get(line).is_none(),
         };

@@ -102,9 +102,6 @@ pub struct SnoopEvent {
     pub req: BusRequest,
     /// The node the owner ledger designated as supplier, if any.
     pub supplier: Option<NodeId>,
-    /// Whether other caches held valid copies at order time (grant
-    /// computation).
-    pub other_sharers: bool,
     /// The directed snoop target set, when the request was ordered by
     /// the home-node directory. `None` on bus machines (broadcast:
     /// every cache snoops).
@@ -154,6 +151,11 @@ pub struct Node {
     pub paused: bool,
     /// Dirty victim-cache evictions awaiting WriteBack order.
     pub pending_wb: Vec<PendingWriteback>,
+    /// Lines whose transactional access bits were set in the current
+    /// transaction (each recorded when its first bit goes up), so
+    /// [`Node::clear_spec_bits`] visits only these instead of the
+    /// whole cache.
+    pub(crate) spec_lines: Vec<LineAddr>,
     /// Transactional stores whose exclusive request could not be
     /// issued yet (MSHR pressure / pending shared fill); retried each
     /// cycle and required before commit.
@@ -210,6 +212,7 @@ impl Node {
             stall_until: 0,
             paused: false,
             pending_wb: Vec::new(),
+            spec_lines: Vec::new(),
             txn_pending_x: Vec::new(),
             nack_retries: RetryTimers::new(),
             sharer_inval_streak: 0,
@@ -229,12 +232,13 @@ impl Node {
         self.l1.peek(line).or_else(|| self.victim.peek(line))
     }
 
-    /// Mutable lookup in L1 or victim cache.
+    /// Mutable lookup in L1 (an access: it refreshes LRU order) or
+    /// victim cache.
     pub fn line_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
-        if self.l1.contains(line) {
-            return self.l1.get_mut(line);
+        match self.l1.get_mut(line) {
+            Some(l) => Some(l),
+            None => self.victim.peek_mut(line),
         }
-        self.victim.peek_mut(line)
     }
 
     /// The coherence state of a line ([`Moesi::Invalid`] when absent).
@@ -242,11 +246,43 @@ impl Node {
         self.line(line).map_or(Moesi::Invalid, |l| l.state)
     }
 
+    /// Sets a transactional access bit (`written` picks which) on the
+    /// resident `line`, leaving LRU order untouched, and records the
+    /// line for [`Node::clear_spec_bits`] when it had neither bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is in neither the L1 nor the victim cache.
+    pub fn mark_spec(&mut self, line: LineAddr, written: bool) {
+        let l = match self.l1.peek_mut(line) {
+            Some(l) => l,
+            None => self.victim.peek_mut(line).expect("marking a line that is not resident"),
+        };
+        if !l.spec_accessed() {
+            self.spec_lines.push(line);
+        }
+        if written {
+            l.spec_written = true;
+        } else {
+            l.spec_read = true;
+        }
+    }
+
     /// Clears transactional access bits everywhere (transaction end —
-    /// the `end_defer` of Figure 5).
+    /// the `end_defer` of Figure 5): only the lines
+    /// [`Node::mark_spec`] recorded can carry a bit. A recorded line
+    /// that has since left both caches took its bits with it.
     pub fn clear_spec_bits(&mut self) {
-        self.l1.clear_spec_bits();
-        self.victim.clear_spec_bits();
+        for line in self.spec_lines.drain(..) {
+            if let Some(l) = self.l1.peek_mut(line).or_else(|| self.victim.peek_mut(line)) {
+                l.clear_spec();
+            }
+        }
+        debug_assert!(
+            self.l1.iter().chain(self.victim.iter()).all(|l| !l.spec_accessed()),
+            "node {}: a transactional bit was set outside Node::mark_spec",
+            self.id
+        );
     }
 
     /// Whether repeated shared-block invalidations have escalated
@@ -313,12 +349,14 @@ mod tests {
     #[test]
     fn clear_spec_bits_spans_both_structures() {
         let mut n = mk_node();
-        let mut a = CacheLine::new(LineAddr(1), Moesi::Shared, LineData::zeroed());
-        a.spec_read = true;
-        n.l1.insert(a);
-        let mut b = CacheLine::new(LineAddr(2), Moesi::Modified, LineData::zeroed());
-        b.spec_written = true;
-        n.victim.insert(b);
+        n.l1.insert(CacheLine::new(LineAddr(1), Moesi::Shared, LineData::zeroed()));
+        n.victim.insert(CacheLine::new(LineAddr(2), Moesi::Modified, LineData::zeroed()));
+        n.mark_spec(LineAddr(1), false);
+        n.mark_spec(LineAddr(2), true);
+        n.mark_spec(LineAddr(2), false);
+        assert_eq!(n.spec_lines, [LineAddr(1), LineAddr(2)], "each line recorded once");
+        assert!(n.line(LineAddr(1)).unwrap().spec_read);
+        assert!(n.line(LineAddr(2)).unwrap().spec_written);
         n.clear_spec_bits();
         assert!(!n.line(LineAddr(1)).unwrap().spec_accessed());
         assert!(!n.line(LineAddr(2)).unwrap().spec_accessed());

@@ -3,8 +3,10 @@
 //! equals the run's elapsed cycles
 //! ([`tlr_sim::stats::MachineStats::check_cycle_accounting`]).
 //!
-//! The identity is debug-asserted at quiescence inside the machine;
-//! these tests audit it *explicitly* — across schemes, across both
+//! The machine checks the identity itself: at quiescence in every
+//! build (`Machine::finalize_stats` panics on a violation), and before
+//! every node tick in debug builds. These tests audit it *explicitly*
+//! — across schemes, across both
 //! engines, under fault injection (where injected aborts, squeezed
 //! buffers, and network jitter reshuffle the stall mix), and under
 //! preemptive scheduling (where descheduled threads accrue

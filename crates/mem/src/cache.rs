@@ -46,13 +46,19 @@ impl Cache {
         self.sets[self.set_index(line)].iter().find(|l| l.line == line)
     }
 
+    /// Mutable lookup without updating LRU order.
+    pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
+        let set = self.set_index(line);
+        self.sets[set].iter_mut().find(|l| l.line == line)
+    }
+
     /// Looks up a line, updating LRU order on a hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
         let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|l| l.line == line)?;
-        let entry = self.sets[set].remove(pos);
-        self.sets[set].insert(0, entry);
-        Some(&mut self.sets[set][0])
+        let ways = &mut self.sets[set];
+        let pos = ways.iter().position(|l| l.line == line)?;
+        ways[..=pos].rotate_right(1);
+        Some(&mut ways[0])
     }
 
     /// Whether the line is present (in any valid state).
@@ -107,20 +113,6 @@ impl Cache {
         self.sets.iter().flatten()
     }
 
-    /// Iterates mutably over all resident lines.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.sets.iter_mut().flatten()
-    }
-
-    /// Clears the transactional access bits on every line (the
-    /// `end_defer` message of Figure 5 "may clear the access bits in
-    /// the local cache hierarchy").
-    pub fn clear_spec_bits(&mut self) {
-        for l in self.iter_mut() {
-            l.clear_spec();
-        }
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
@@ -163,6 +155,7 @@ mod tests {
         let evicted = c.insert(mk(9, Moesi::Shared)).expect("must evict");
         assert_eq!(evicted.line, LineAddr(5));
         assert!(c.contains(LineAddr(1)) && c.contains(LineAddr(9)));
+        assert!(!c.contains(LineAddr(5)), "the evicted line is gone");
     }
 
     #[test]
@@ -206,16 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_spec_bits_clears_everything() {
+    fn peek_mut_keeps_lru_order() {
         let mut c = Cache::new(4, 2);
-        for l in 0..8u64 {
-            let mut e = mk(l, Moesi::Shared);
-            e.spec_read = l % 2 == 0;
-            e.spec_written = l % 3 == 0;
-            c.insert(e);
-        }
-        c.clear_spec_bits();
-        assert!(c.iter().all(|l| !l.spec_accessed()));
+        // Lines 1 and 5 share set 1; 5 is MRU, 1 is LRU.
+        c.insert(mk(1, Moesi::Shared));
+        c.insert(mk(5, Moesi::Shared));
+        c.peek_mut(LineAddr(1)).unwrap().spec_read = true;
+        assert!(c.is_mru(LineAddr(5)));
+        assert!(c.peek(LineAddr(1)).unwrap().spec_read);
+        assert!(c.peek_mut(LineAddr(9)).is_none());
     }
 
     #[test]

@@ -92,8 +92,6 @@ pub enum NetMsg {
         data: LineData,
         /// State to install the line in.
         grant: DataGrant,
-        /// Whether a cache (rather than L2/memory) supplied the data.
-        from_cache: bool,
     },
     /// Marker (§3.1.1): tells `to` that `from` holds the block (or is
     /// ordered before it) and is not supplying data immediately, so
@@ -163,7 +161,6 @@ mod tests {
             line: LineAddr(1),
             data: LineData::zeroed(),
             grant: DataGrant::Modified,
-            from_cache: true,
         };
         assert_eq!(d.destination(), 3);
         let m = NetMsg::Marker { to: 1, from: 0, line: LineAddr(9) };

@@ -65,11 +65,6 @@ impl VictimCache {
         self.entries.iter()
     }
 
-    /// Iterates mutably over resident entries.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.entries.iter_mut()
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -90,13 +85,6 @@ impl VictimCache {
     /// this is smaller than the nominal `MachineConfig` value.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Clears all transactional access bits.
-    pub fn clear_spec_bits(&mut self) {
-        for e in &mut self.entries {
-            e.clear_spec();
-        }
     }
 }
 
