@@ -10,7 +10,6 @@
 
 use std::collections::VecDeque;
 
-use tlr_sim::events::Schedulable;
 use tlr_sim::fault::BusFault;
 use tlr_sim::{Cycle, NodeId};
 
@@ -133,12 +132,6 @@ impl Bus {
     }
 }
 
-impl Schedulable for Bus {
-    fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        self.next_order_cycle(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +216,6 @@ mod tests {
         assert!(bus.tick(1).is_some());
         // Busy until cycle 5; the queued second request waits it out.
         assert_eq!(bus.next_order_cycle(1), Some(5));
-        assert_eq!(bus.next_wake(4), Some(5));
         assert!(bus.tick(5).is_some());
         assert_eq!(bus.next_order_cycle(5), None);
     }

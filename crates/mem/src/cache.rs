@@ -13,6 +13,11 @@ use crate::line::CacheLine;
 ///
 /// Within a set, lines are kept in LRU order: index 0 is the most
 /// recently used.
+///
+/// A set's line storage is allocated at its first insert and grows
+/// with ordinary `Vec` growth, so host memory follows the sets a run
+/// touches rather than the configured geometry; `ways` alone bounds a
+/// set's occupancy.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: Vec<Vec<CacheLine>>,
@@ -31,7 +36,7 @@ impl Cache {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
         Cache {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             ways,
             set_mask: sets as u64 - 1,
         }
@@ -208,6 +213,26 @@ mod tests {
         assert!(c.is_mru(LineAddr(5)));
         assert!(c.peek(LineAddr(1)).unwrap().spec_read);
         assert!(c.peek_mut(LineAddr(9)).is_none());
+    }
+
+    #[test]
+    fn set_storage_is_allocated_at_first_insert() {
+        // The shared L2's geometry: 8192 sets of 8 ways.
+        let mut c = Cache::new(8192, 8);
+        assert!(c.sets.iter().all(|s| s.capacity() == 0), "a fresh cache owns no set storage");
+        c.insert(mk(3, Moesi::Shared));
+        let allocated: Vec<usize> = (0..c.sets.len()).filter(|&i| c.sets[i].capacity() > 0).collect();
+        assert_eq!(allocated, vec![3], "one insert allocates exactly its own set");
+        // Fill set 3 with a transactional LRU line and seven others;
+        // the next insert still evicts the LRU non-transactional line.
+        c.peek_mut(LineAddr(3)).unwrap().spec_read = true;
+        for k in 1..8u64 {
+            assert!(c.insert(mk(3 + 8192 * k, Moesi::Shared)).is_none());
+        }
+        let evicted = c.insert(mk(3 + 8192 * 8, Moesi::Shared)).expect("a full set evicts");
+        assert_eq!(evicted.line, LineAddr(3 + 8192), "LRU non-transactional line");
+        assert!(c.contains(LineAddr(3)), "the transactional line survives");
+        assert_eq!(c.len(), 8);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use tlr_sim::events::Schedulable;
 use tlr_sim::fault::NetFault;
 use tlr_sim::{Cycle, NodeId};
 
@@ -384,12 +383,6 @@ impl Directory {
     }
 }
 
-impl Schedulable for Directory {
-    fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        self.next_order_cycle(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,7 +519,6 @@ mod tests {
         assert_eq!(ordered_at(&mut dir, 10).len(), 1);
         // Second request queued behind the busy bank.
         assert_eq!(dir.next_order_cycle(10), Some(14), "wake at window expiry");
-        assert_eq!(dir.next_wake(13), Some(14));
         assert_eq!(ordered_at(&mut dir, 14).len(), 1);
         assert_eq!(dir.next_order_cycle(14), None);
     }

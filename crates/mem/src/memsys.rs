@@ -9,9 +9,6 @@
 
 use std::collections::HashMap;
 
-use tlr_sim::events::Schedulable;
-use tlr_sim::Cycle;
-
 use crate::addr::{Addr, LineAddr};
 use crate::cache::Cache;
 use crate::line::{CacheLine, LineData, Moesi};
@@ -107,18 +104,6 @@ impl MemorySystem {
     /// Configured memory latency.
     pub fn mem_latency(&self) -> u64 {
         self.mem_latency
-    }
-}
-
-impl Schedulable for MemorySystem {
-    /// The memory side is purely reactive: [`MemorySystem::supply`]
-    /// answers synchronously at the bus ordering point and the access
-    /// latency rides on the returned [`MemAccessResult`] (the fill's
-    /// network delivery carries the delay). There is no internal timer
-    /// that could fire on its own, so the memory system never asks to
-    /// be woken.
-    fn next_wake(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use tlr_sim::events::Schedulable;
 use tlr_sim::{Cycle, NodeId};
 
 use crate::addr::LineAddr;
@@ -242,12 +241,6 @@ impl RetryTimers {
     }
 }
 
-impl Schedulable for RetryTimers {
-    fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        self.next_due().map(|t| t.max(now + 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,20 +281,19 @@ mod tests {
     fn retry_timers_release_in_insertion_order_and_report_wakes() {
         let mut t = RetryTimers::new();
         assert!(t.is_empty());
-        assert_eq!(t.next_wake(0), None);
+        assert_eq!(t.next_due(), None);
         t.schedule(10, LineAddr(1));
         t.schedule(5, LineAddr(2));
         t.schedule(10, LineAddr(3));
         assert_eq!(t.len(), 3);
-        assert_eq!(t.next_wake(0), Some(5));
-        assert_eq!(t.next_wake(7), Some(8), "past-due clamps to now + 1");
+        assert_eq!(t.next_due(), Some(5));
         assert!(t.take_due(4).is_empty());
         assert_eq!(t.take_due(10), vec![LineAddr(1), LineAddr(2), LineAddr(3)], "insertion order, not due order");
         assert!(t.is_empty());
         t.schedule(9, LineAddr(4));
         t.schedule(3, LineAddr(5));
         assert_eq!(t.take_due(3), vec![LineAddr(5)]);
-        assert_eq!(t.next_wake(3), Some(9), "tail keeps its timer");
+        assert_eq!(t.next_due(), Some(9), "tail keeps its timer");
     }
 
     #[test]

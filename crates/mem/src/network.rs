@@ -8,7 +8,7 @@
 //! within the jitter window — while the whole run stays a pure
 //! function of the configuration.
 
-use tlr_sim::events::{EventQueue, Schedulable};
+use tlr_sim::events::EventQueue;
 use tlr_sim::fault::NetFault;
 use tlr_sim::Cycle;
 
@@ -95,15 +95,6 @@ impl<T> Network<T> {
     }
 }
 
-impl<T> Schedulable for Network<T> {
-    fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        // A message sent with zero latency during cycle `now` is
-        // delivered on the next cycle's drain phase, exactly as the
-        // cycle-stepped loop would deliver it: clamp to now + 1.
-        self.next_ready().map(|c| c.max(now + 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +123,9 @@ mod tests {
     fn next_ready_reports_the_earliest_delivery() {
         let mut n = Network::new();
         assert_eq!(n.next_ready(), None);
-        assert_eq!(n.next_wake(0), None);
         n.send(10, "a");
         n.send(5, "b");
         assert_eq!(n.next_ready(), Some(5));
-        assert_eq!(n.next_wake(0), Some(5));
-        assert_eq!(n.next_wake(7), Some(8), "past-due clamps to now + 1");
         n.drain_ready(5);
         assert_eq!(n.next_ready(), Some(10));
     }

@@ -12,6 +12,9 @@ use std::collections::VecDeque;
 use crate::addr::Addr;
 
 /// A FIFO store buffer with store-to-load forwarding.
+///
+/// Entry storage is allocated at the first push; `capacity` alone
+/// bounds occupancy.
 #[derive(Debug, Clone)]
 pub struct StoreBuffer {
     entries: VecDeque<(Addr, u64)>,
@@ -21,7 +24,7 @@ pub struct StoreBuffer {
 impl StoreBuffer {
     /// Creates a buffer with the given entry capacity.
     pub fn new(capacity: usize) -> Self {
-        StoreBuffer { entries: VecDeque::with_capacity(capacity), capacity }
+        StoreBuffer { entries: VecDeque::new(), capacity }
     }
 
     /// Enqueues a retired store.
@@ -111,6 +114,7 @@ mod tests {
     #[test]
     fn capacity() {
         let mut sb = StoreBuffer::new(2);
+        assert_eq!(sb.entries.capacity(), 0, "no storage before the first entry");
         sb.push(Addr(0), 0);
         assert!(!sb.is_full());
         sb.push(Addr(8), 0);

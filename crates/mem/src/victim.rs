@@ -11,6 +11,9 @@ use crate::addr::LineAddr;
 use crate::line::CacheLine;
 
 /// A small fully-associative victim cache with LRU replacement.
+///
+/// Entry storage is allocated at the first insert; `capacity` alone
+/// bounds occupancy.
 #[derive(Debug, Clone)]
 pub struct VictimCache {
     entries: Vec<CacheLine>,
@@ -20,7 +23,7 @@ pub struct VictimCache {
 impl VictimCache {
     /// Creates a victim cache holding up to `capacity` lines.
     pub fn new(capacity: usize) -> Self {
-        VictimCache { entries: Vec::with_capacity(capacity), capacity }
+        VictimCache { entries: Vec::new(), capacity }
     }
 
     /// Inserts an evicted L1 line. If full, the least recently used
@@ -135,6 +138,7 @@ mod tests {
     fn fullness_tracking() {
         let mut v = VictimCache::new(2);
         assert_eq!(v.capacity(), 2);
+        assert_eq!(v.entries.capacity(), 0, "no storage before the first entry");
         assert!(!v.is_full());
         v.insert(mk(1));
         v.insert(mk(2));

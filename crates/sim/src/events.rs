@@ -1,17 +1,18 @@
 //! The discrete-event calendar: a binary-heap queue keyed by
 //! `(wake_cycle, stable tie-break id)`.
 //!
-//! The event-driven engine (ROADMAP item 1) replaces tick-the-world
-//! with clock jumps to the next scheduled event. Everything that can
-//! wake the machine — data-network deliveries, bus arbitration,
-//! per-node timers — either lives in an [`EventQueue`] or reports its
-//! next wake cycle through [`Schedulable`]. Determinism requires a
-//! *total* order on events: two events scheduled for the same cycle
-//! pop in the order they were pushed, because each push is assigned a
-//! monotonically increasing tie-break id. This reproduces exactly the
-//! iteration order of the `BTreeMap<(Cycle, u64), T>` the data network
-//! used when the machine was cycle-stepped, so swapping the container
-//! changes no delivery order anywhere.
+//! The event-driven engine replaces tick-the-world with clock jumps to
+//! the next scheduled event. Data-network deliveries live in an
+//! [`EventQueue`]; the other wake sources (bus arbitration, directory
+//! banks, retry and idle timers) each report their next cycle through
+//! a method of their own, which the machine reads directly.
+//! Determinism requires a *total* order on events: two events
+//! scheduled for the same cycle pop in the order they were pushed,
+//! because each push is assigned a monotonically increasing tie-break
+//! id. This reproduces exactly the iteration order of the
+//! `BTreeMap<(Cycle, u64), T>` the data network used when the machine
+//! was cycle-stepped, so swapping the container changes no delivery
+//! order anywhere.
 //!
 //! The queue deliberately has no `remove` or `reschedule`: stale
 //! entries are the classic source of calendar-queue nondeterminism,
@@ -23,22 +24,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::Cycle;
-
-/// A component that can tell the event-driven engine when it next
-/// needs to run.
-///
-/// `next_wake` must be *conservative*: returning an earlier cycle than
-/// strictly necessary only costs a no-op visit, while returning a
-/// later one (or `None` while work is pending) would let the engine
-/// jump past a state change and diverge from the cycle-stepped
-/// reference. Purely reactive components (the shared L2/memory, which
-/// answers synchronously at the bus ordering point) return `None`.
-pub trait Schedulable {
-    /// The earliest future cycle (strictly after `now`) at which this
-    /// component may do work on its own, or `None` if it is idle until
-    /// externally stimulated.
-    fn next_wake(&self, now: Cycle) -> Option<Cycle>;
-}
 
 /// One scheduled entry: the key is `(cycle, id)` and the ordering is
 /// on the key alone, so `T` needs no `Ord`.
@@ -131,14 +116,6 @@ impl<T> EventQueue<T> {
     /// ever happen again without external stimulus.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-impl<T> Schedulable for EventQueue<T> {
-    fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        // Entries already due still need a visit: clamp to now + 1
-        // rather than reporting the past.
-        self.next_cycle().map(|c| c.max(now + 1))
     }
 }
 
@@ -236,14 +213,13 @@ mod tests {
     fn empty_queue_quiesce_matches_is_empty() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.next_wake(0), None, "empty calendar never wakes");
+        assert_eq!(q.next_cycle(), None, "empty calendar never wakes");
         q.push(3, 1);
         assert!(!q.is_empty());
-        assert_eq!(q.next_wake(0), Some(3));
-        assert_eq!(q.next_wake(7), Some(8), "due events clamp to now + 1");
+        assert_eq!(q.next_cycle(), Some(3));
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.next_wake(9), None);
+        assert_eq!(q.next_cycle(), None);
         assert_eq!(q.len(), 0);
     }
 }

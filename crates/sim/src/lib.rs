@@ -43,7 +43,7 @@ pub mod trace;
 pub use config::{
     Engine, LatencyConfig, MachineConfig, MachineConfigBuilder, Scheme, UntimestampedPolicy,
 };
-pub use events::{EventQueue, Schedulable};
+pub use events::EventQueue;
 pub use fault::{BusFault, FaultConfig, FaultPlan, NetFault};
 pub use pool::{CancelToken, CellCoords, CellError, CellResult, Job, Pool};
 pub use prof::{ProfConfig, Profiler, WakeSource};

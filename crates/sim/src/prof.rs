@@ -65,8 +65,8 @@ impl Default for ProfConfig {
     }
 }
 
-/// Which [`crate::events::Schedulable`] (or engine rule) determined
-/// the cycle an event-engine step jumped to.
+/// Which wake source (or engine rule) determined the cycle an
+/// event-engine step jumped to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeSource {
     /// A node was Active, pinning the wake floor to the next cycle.
