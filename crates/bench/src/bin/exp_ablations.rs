@@ -13,62 +13,6 @@
 //! cargo run --release -p tlr-bench --bin exp_ablations [--quick] [--procs 8] [--jobs 4]
 //! ```
 
-use tlr_bench::BenchOpts;
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "exp_ablations",
-            tlr_bench::checks::exp_ablations,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let exp = tlr_bench::sweeps::ablations(&opts, &pool);
-    println!("TLR design-parameter ablations, {} processors\n", exp.procs);
-
-    println!("deferred-queue capacity (single-counter, {} increments):", exp.total);
-    println!("{:>10} {:>12} {:>10} {:>10}", "entries", "cycles", "restarts", "deferrals");
-    for (entries, cycles, restarts, deferrals) in &exp.deferred_queue {
-        println!("{entries:>10} {cycles:>12} {restarts:>10} {deferrals:>10}");
-    }
-
-    println!("\nvictim-cache entries (doubly-linked list, {} pairs):", exp.pairs);
-    println!("{:>10} {:>12} {:>10} {:>10}", "entries", "cycles", "restarts", "fallbacks");
-    for (entries, cycles, restarts, fallbacks) in &exp.victim_cache {
-        println!("{entries:>10} {cycles:>12} {restarts:>10} {fallbacks:>10}");
-    }
-
-    println!("\nwrite-buffer lines (doubly-linked list, {} pairs):", exp.pairs);
-    println!("{:>10} {:>12} {:>10} {:>10}", "lines", "cycles", "restarts", "fallbacks");
-    for (lines, cycles, restarts, fallbacks) in &exp.write_buffer {
-        println!("{lines:>10} {cycles:>12} {restarts:>10} {fallbacks:>10}");
-    }
-
-    println!(
-        "\ntimestamp width in bits (single-counter, {} increments; §2.1.2 rollover):",
-        exp.total
-    );
-    println!("{:>10} {:>12} {:>10}", "bits", "cycles", "restarts");
-    for (bits, cycles, restarts) in &exp.timestamp_bits {
-        println!("{bits:>10} {cycles:>12} {restarts:>10}");
-    }
-
-    println!(
-        "\nretention policy (single-counter, {} increments; §3 deferral vs NACK):",
-        exp.total
-    );
-    println!("{:>10} {:>12} {:>10} {:>10} {:>10}", "policy", "cycles", "deferrals", "nacks", "bus txns");
-    for (name, cycles, deferrals, nacks, bus) in &exp.retention {
-        println!("{name:>10} {cycles:>12} {deferrals:>10} {nacks:>10} {bus:>10}");
-    }
-
-    println!("\nEvery configuration validated: resources shape performance, never correctness.");
-
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &exp.json());
-    }
+    tlr_bench::experiments::main("exp_ablations");
 }

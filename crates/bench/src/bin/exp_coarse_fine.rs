@@ -15,43 +15,6 @@
 //! cargo run --release -p tlr-bench --bin exp_coarse_fine [--quick] [--procs 16] [--jobs 4]
 //! ```
 
-use tlr_bench::BenchOpts;
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "exp_coarse_fine",
-            tlr_bench::checks::exp_coarse_fine,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let exp = tlr_bench::sweeps::coarse_fine(&opts, &pool);
-    println!(
-        "Coarse vs fine grain (mp3d kernel), {} processors, {} moves/proc, {} cells",
-        exp.procs, exp.iters, exp.cells
-    );
-    println!("{:<28} {:>14}", "configuration", "cycles");
-    for (name, r) in &exp.configs {
-        println!("{:<28} {:>14}", name, r.stats.parallel_cycles);
-    }
-    println!();
-    println!(
-        "speedup TLR+coarse over BASE+fine: {:.2}   (paper: 2.40)",
-        exp.tlr_coarse_over_base_fine()
-    );
-    println!(
-        "speedup TLR+coarse over TLR+fine:  {:.2}   (paper: 1.70)",
-        exp.tlr_coarse_over_tlr_fine()
-    );
-    println!(
-        "coarse lock under BASE degrades:   {:.2}x slower than BASE+fine",
-        1.0 / exp.base_coarse_over_base_fine()
-    );
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &exp.json());
-    }
+    tlr_bench::experiments::main("exp_coarse_fine");
 }

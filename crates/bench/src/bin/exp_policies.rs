@@ -19,23 +19,6 @@
 //! binaries. `--policy` is ignored here: this binary sweeps all
 //! policies by construction.
 
-use tlr_bench::BenchOpts;
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "exp_policies",
-            tlr_bench::checks::exp_policies,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let sweep = tlr_bench::sweeps::policies(&opts, &pool);
-    sweep.print();
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &sweep.json());
-    }
+    tlr_bench::experiments::main("exp_policies");
 }

@@ -10,37 +10,6 @@
 //! cargo run --release -p tlr-bench --bin exp_rmw_predictor [--quick] [--procs 16] [--jobs 4]
 //! ```
 
-use tlr_bench::BenchOpts;
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "exp_rmw_predictor",
-            tlr_bench::checks::exp_rmw_predictor,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let exp = tlr_bench::sweeps::rmw_predictor(&opts, &pool);
-    println!(
-        "Read-modify-write predictor effect on BASE, {} processors, scale {}",
-        exp.procs, exp.scale
-    );
-    println!("{:<12} {:>16} {:>16} {:>10} {:>8}", "app", "BASE-no-opt", "BASE", "speedup", "paper");
-    for row in &exp.rows {
-        println!(
-            "{:<12} {:>16} {:>16} {:>10.2} {:>8.2}",
-            row.app,
-            row.base_no_opt_cycles,
-            row.base_cycles,
-            row.base_no_opt_cycles as f64 / row.base_cycles as f64,
-            row.paper_speedup,
-        );
-    }
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &exp.json());
-    }
+    tlr_bench::experiments::main("exp_rmw_predictor");
 }

@@ -17,23 +17,6 @@
 //! `--jobs`, ...) with the other binaries, plus `--faults N` and
 //! `--fault-seed S`.
 
-use tlr_bench::BenchOpts;
-
 fn main() {
-    let opts = BenchOpts::parse_chaos();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "exp_robustness",
-            tlr_bench::checks::exp_robustness,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let sweep = tlr_bench::sweeps::robustness(&opts, &pool);
-    sweep.print();
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &sweep.json());
-    }
+    tlr_bench::experiments::main("exp_robustness");
 }

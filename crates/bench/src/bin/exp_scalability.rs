@@ -17,32 +17,6 @@
 //! `--json`, `--jobs`, `--engine`, `--profile`, ...) with the other
 //! binaries.
 
-use tlr_bench::BenchOpts;
-use tlr_sim::config::Interconnect;
-
 fn main() {
-    let defaults = BenchOpts {
-        procs: vec![32, 64, 128, 256],
-        interconnect: Interconnect::Directory,
-        ..Default::default()
-    };
-    let opts = BenchOpts::parse_with_defaults(defaults, |_, _| false);
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "exp_scalability",
-            tlr_bench::checks::exp_scalability,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let sweep = tlr_bench::sweeps::scalability(&opts, &pool);
-    sweep.print();
-    if let Some(path) = &opts.csv {
-        tlr_bench::write_series_csv(path, &sweep.schemes, &sweep.rows);
-    }
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &sweep.json());
-    }
+    tlr_bench::experiments::main("exp_scalability");
 }

@@ -10,26 +10,6 @@
 //! cargo run --release -p tlr-bench --bin fig08_multiple_counter [--quick] [--procs 1,2,4] [--jobs 4]
 //! ```
 
-use tlr_bench::{write_series_csv, BenchOpts};
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "fig08_multiple_counter",
-            tlr_bench::checks::fig08,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let sweep = tlr_bench::sweeps::fig08(&opts, &pool);
-    sweep.print();
-    if let Some(path) = &opts.csv {
-        write_series_csv(path, &sweep.schemes, &sweep.rows);
-    }
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &sweep.json());
-    }
+    tlr_bench::experiments::main("fig08_multiple_counter");
 }

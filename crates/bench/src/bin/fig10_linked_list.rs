@@ -10,26 +10,6 @@
 //! cargo run --release -p tlr-bench --bin fig10_linked_list [--quick] [--procs 1,2,4] [--jobs 4]
 //! ```
 
-use tlr_bench::{write_series_csv, BenchOpts};
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "fig10_linked_list",
-            tlr_bench::checks::fig10,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let sweep = tlr_bench::sweeps::fig10(&opts, &pool);
-    sweep.print();
-    if let Some(path) = &opts.csv {
-        write_series_csv(path, &sweep.schemes, &sweep.rows);
-    }
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &sweep.json());
-    }
+    tlr_bench::experiments::main("fig10_linked_list");
 }

@@ -13,50 +13,6 @@
 //! cargo run --release -p tlr-bench --bin fig11_applications [--quick] [--procs 16] [--jobs 4]
 //! ```
 
-use tlr_bench::{speedup, BenchOpts};
-
 fn main() {
-    let opts = BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run(
-            "fig11_applications",
-            tlr_bench::checks::fig11,
-            &pool,
-            opts.json.as_deref(),
-        );
-        return;
-    }
-    let sweep = tlr_bench::sweeps::fig11(&opts, &pool);
-    println!(
-        "Figure 11: application performance, {} processors, scale {}",
-        sweep.procs, sweep.scale
-    );
-    println!(
-        "{:<12} {:>9} {:>22} {:>22} {:>22} {:>9} {:>9}",
-        "app", "BASE(cyc)", "BASE lock/other", "SLE lock/other", "TLR lock/other", "TLR/BASE", "MCS/BASE"
-    );
-    for (name, reports) in &sweep.rows {
-        let (base, sle, tlr, mcs) = (&reports[0], &reports[1], &reports[2], &reports[3]);
-        let part = |r: &tlr_core::run::RunReport| {
-            let total = (r.stats.parallel_cycles * sweep.procs as u64).max(1) as f64;
-            let lock = r.stats.total_lock_cycles() as f64 / total;
-            let norm = r.stats.parallel_cycles as f64 / base.stats.parallel_cycles as f64;
-            format!("{:>6.3} ({:>4.1}%/{:>4.1}%)", norm, lock * 100.0, (1.0 - lock) * 100.0)
-        };
-        println!(
-            "{:<12} {:>9} {:>22} {:>22} {:>22} {:>9.2} {:>9.2}",
-            name,
-            base.stats.parallel_cycles,
-            part(base),
-            part(sle),
-            part(tlr),
-            speedup(tlr, base),
-            speedup(mcs, base),
-        );
-    }
-    println!("\n(normalized execution time; lock% = cycles attributed to lock variables)");
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &sweep.json());
-    }
+    tlr_bench::experiments::main("fig11_applications");
 }

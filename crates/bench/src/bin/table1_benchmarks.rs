@@ -7,24 +7,5 @@
 //! ```
 
 fn main() {
-    let opts = tlr_bench::BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run("table1_benchmarks", tlr_bench::checks::table1, &pool, opts.json.as_deref());
-        return;
-    }
-    println!("Table 1: Benchmarks (paper column -> this reproduction's kernel)");
-    println!(
-        "{:<12} {:<22} {:<34} {:<40}",
-        "Application", "Type of simulation", "Type of critical sections", "Kernel substitution"
-    );
-    for (app, sim, cs, kernel) in tlr_bench::sweeps::table1_rows() {
-        println!("{app:<12} {sim:<22} {cs:<34} {kernel:<40}");
-    }
-    println!();
-    println!("All kernels run the same binary under BASE/SLE/TLR (test&test&set locks)");
-    println!("and an MCS-lock binary under the MCS configuration, as in §5.");
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &tlr_bench::sweeps::table1_json());
-    }
+    tlr_bench::experiments::main("table1_benchmarks");
 }

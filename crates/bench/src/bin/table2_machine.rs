@@ -8,19 +8,5 @@
 //! ```
 
 fn main() {
-    let opts = tlr_bench::BenchOpts::parse();
-    let pool = opts.pool();
-    if opts.check {
-        tlr_bench::checks::run("table2_machine", tlr_bench::checks::table2, &pool, opts.json.as_deref());
-        return;
-    }
-    println!("Table 2: simulated machine parameters (this reproduction)");
-    let (h1, h2, h3) = ("parameter", "this reproduction", "paper");
-    println!("{h1:<18} {h2:<48} {h3}");
-    for (k, v, p) in &tlr_bench::sweeps::table2_rows() {
-        println!("{k:<18} {v:<48} {p}");
-    }
-    if let Some(path) = &opts.json {
-        tlr_bench::write_json_file(path, &tlr_bench::sweeps::table2_json());
-    }
+    tlr_bench::experiments::main("table2_machine");
 }

@@ -20,14 +20,13 @@
 //! the profiling smoke check (identity, timeline tiling, and
 //! profiled-vs-unprofiled equality) on the selected engine.
 
-use tlr_bench::cli::Args;
-use tlr_core::run::{build_machine, WorkloadSpec};
-use tlr_sim::config::{MachineConfig, Scheme};
+use tlr_bench::cli::{parse_scheme, tool_workload, Args};
+use tlr_bench::write_json_file;
+use tlr_core::run::build_machine;
+use tlr_sim::config::Scheme;
 use tlr_sim::prof::ProfConfig;
 use tlr_sim::stats::Hist;
-use tlr_sim::{export, json};
-use tlr_workloads::apps::{mp3d, mp3d_coarse};
-use tlr_workloads::micro::{doubly_linked_list, multiple_counter, single_counter};
+use tlr_sim::export;
 
 struct ProfOpts {
     workload: String,
@@ -49,7 +48,7 @@ fn parse_args() -> (ProfOpts, Args) {
     };
     // The hook claims `--procs` because a profile follows ONE machine
     // (a single count, not the sweep's comma list).
-    let shared = Args::parse_with(|_, mut flag| {
+    let shared = Args::parse_with(Args::default(), |_, mut flag| {
         match flag.name {
             "--help" | "-h" => {
                 println!(
@@ -73,16 +72,7 @@ fn parse_args() -> (ProfOpts, Args) {
                 std::process::exit(0);
             }
             "--workload" => o.workload = flag.value(),
-            "--scheme" => {
-                o.scheme = match flag.value().as_str() {
-                    "base" => Scheme::Base,
-                    "mcs" => Scheme::Mcs,
-                    "sle" => Scheme::Sle,
-                    "tlr" => Scheme::Tlr,
-                    "tlr_strict_ts" => Scheme::TlrStrictTs,
-                    other => panic!("unknown scheme {other:?} (base|mcs|sle|tlr|tlr_strict_ts)"),
-                }
-            }
+            "--scheme" => o.scheme = parse_scheme(&flag.value()),
             "--procs" => o.procs = flag.value().parse().expect("bad --procs"),
             "--total" => o.total = flag.value().parse().expect("bad --total"),
             "--cells" => o.cells = flag.value().parse().expect("bad --cells"),
@@ -94,44 +84,27 @@ fn parse_args() -> (ProfOpts, Args) {
     (o, shared)
 }
 
-fn workload(name: &str, procs: usize, total: u64, cells: u64) -> Box<dyn WorkloadSpec> {
-    match name {
-        "single_counter" => Box::new(single_counter(procs, total)),
-        "multiple_counter" => Box::new(multiple_counter(procs, total)),
-        "linked_list" => Box::new(doubly_linked_list(procs, total)),
-        "mp3d" => Box::new(mp3d(procs, total, cells)),
-        "mp3d_coarse" => Box::new(mp3d_coarse(procs, total, cells)),
-        other => panic!(
-            "unknown workload {other:?} \
-             (single_counter|multiple_counter|linked_list|mp3d|mp3d_coarse)"
-        ),
-    }
-}
-
 fn percentile_line(label: &str, h: &Hist) -> String {
     let p = |q: f64| h.percentile(q).map_or_else(|| "-".to_string(), |v| v.to_string());
     format!("  {label:<18} p50 {:>8}  p95 {:>8}  p99 {:>8}", p(50.0), p(95.0), p(99.0))
-}
-
-fn write_validated(path: &std::path::Path, contents: &str, what: &str) {
-    json::validate(contents).unwrap_or_else(|e| panic!("generated {what} JSON is malformed: {e}"));
-    std::fs::write(path, contents)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("({what} written to {})", path.display());
 }
 
 fn main() {
     let (o, shared) = parse_args();
     let pool = shared.pool();
     if shared.check {
-        tlr_bench::checks::run("profile", tlr_bench::checks::profile, &pool, shared.json.as_deref());
+        tlr_bench::checks::run(
+            "profile",
+            tlr_bench::checks::profile,
+            &shared.base(),
+            &pool,
+            shared.json.as_deref(),
+        );
         return;
     }
 
-    let w = workload(&o.workload, o.procs, o.total, o.cells);
-    let mut cfg = MachineConfig::paper_default(o.scheme, o.procs);
-    cfg.max_cycles = 60_000_000_000;
-    cfg.profile = ProfConfig::on();
+    let w = tool_workload(&o.workload, o.procs, o.total, o.cells);
+    let cfg = shared.base().scheme(o.scheme).procs(o.procs).profile(ProfConfig::on()).build();
     let mut m = build_machine(&cfg, w.as_ref());
     if shared.out.is_some() {
         m.enable_trace();
@@ -229,11 +202,11 @@ fn main() {
 
     if let Some(path) = &shared.json {
         let doc = export::profile_json(w.name(), o.scheme.label(), o.procs, &p, p.bus_occupancy);
-        write_validated(path, &doc, "profile");
+        write_json_file(path, &doc, "profile");
     }
     if let Some(path) = &shared.out {
         let log = m.span_log();
         let doc = export::chrome_trace_with_profile(&log, o.procs, Some(&p), p.bus_occupancy);
-        write_validated(path, &doc, "trace");
+        write_json_file(path, &doc, "trace");
     }
 }

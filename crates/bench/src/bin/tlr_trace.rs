@@ -25,13 +25,12 @@
 //! machine, so anything above 1 warns on stderr and runs serially
 //! anyway — `--help` documents the restriction).
 
-use tlr_bench::cli::Args;
-use tlr_core::run::{build_machine, WorkloadSpec};
-use tlr_sim::config::{MachineConfig, Scheme};
+use tlr_bench::cli::{parse_scheme, tool_workload, Args};
+use tlr_bench::write_json_file;
+use tlr_core::run::build_machine;
+use tlr_sim::config::Scheme;
 use tlr_sim::trace::TraceKind;
-use tlr_sim::{export, json};
-use tlr_workloads::apps::{mp3d, mp3d_coarse};
-use tlr_workloads::micro::{doubly_linked_list, multiple_counter, single_counter};
+use tlr_sim::export;
 
 struct TraceOpts {
     workload: String,
@@ -40,14 +39,12 @@ struct TraceOpts {
     total: u64,
     capacity: usize,
     top_n: usize,
-    out: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
     dump_spans: bool,
     expect_defer: bool,
-    jobs: usize,
 }
 
-fn parse_args() -> TraceOpts {
+fn parse_args() -> (TraceOpts, Args) {
     let mut o = TraceOpts {
         workload: "single_counter".to_string(),
         scheme: Scheme::Tlr,
@@ -55,18 +52,16 @@ fn parse_args() -> TraceOpts {
         total: 256,
         capacity: tlr_sim::trace::DEFAULT_CAPACITY,
         top_n: 16,
-        out: None,
         metrics: None,
         dump_spans: false,
         expect_defer: false,
-        jobs: 1,
     };
     // Trace-specific flags layer on the shared core surface; the hook
     // claims `--procs` too, because a trace follows ONE machine (a
     // single count, not the sweep's comma list), and `--help` so the
     // trace-specific surface (and the --jobs restriction) is shown
     // ahead of the shared flags.
-    let shared = Args::parse_with(|_, mut flag| {
+    let shared = Args::parse_with(Args::default(), |_, mut flag| {
         match flag.name {
             "--help" | "-h" => {
                 println!(
@@ -92,16 +87,7 @@ fn parse_args() -> TraceOpts {
                 std::process::exit(0);
             }
             "--workload" => o.workload = flag.value(),
-            "--scheme" => {
-                o.scheme = match flag.value().as_str() {
-                    "base" => Scheme::Base,
-                    "mcs" => Scheme::Mcs,
-                    "sle" => Scheme::Sle,
-                    "tlr" => Scheme::Tlr,
-                    "tlr_strict_ts" => Scheme::TlrStrictTs,
-                    other => panic!("unknown scheme {other:?} (base|mcs|sle|tlr|tlr_strict_ts)"),
-                }
-            }
+            "--scheme" => o.scheme = parse_scheme(&flag.value()),
             "--procs" => o.procs = flag.value().parse().expect("bad --procs"),
             "--total" => o.total = flag.value().parse().expect("bad --total"),
             "--capacity" => o.capacity = flag.value().parse().expect("bad --capacity"),
@@ -113,41 +99,17 @@ fn parse_args() -> TraceOpts {
         }
         true
     });
-    o.out = shared.out;
-    o.jobs = shared.jobs.unwrap_or(1);
-    o
-}
-
-fn workload(name: &str, procs: usize, total: u64) -> Box<dyn WorkloadSpec> {
-    match name {
-        "single_counter" => Box::new(single_counter(procs, total)),
-        "multiple_counter" => Box::new(multiple_counter(procs, total)),
-        "linked_list" => Box::new(doubly_linked_list(procs, total)),
-        "mp3d" => Box::new(mp3d(procs, total, 4096)),
-        "mp3d_coarse" => Box::new(mp3d_coarse(procs, total, 4096)),
-        other => panic!(
-            "unknown workload {other:?} \
-             (single_counter|multiple_counter|linked_list|mp3d|mp3d_coarse)"
-        ),
-    }
-}
-
-fn write_validated(path: &std::path::Path, contents: &str, what: &str) {
-    json::validate(contents)
-        .unwrap_or_else(|e| panic!("generated {what} JSON is malformed: {e}"));
-    std::fs::write(path, contents)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("({what} written to {})", path.display());
+    (o, shared)
 }
 
 fn main() {
-    let o = parse_args();
-    if o.jobs > 1 {
-        eprintln!("warning: a trace follows one machine; --jobs {} runs it serially", o.jobs);
+    let (o, shared) = parse_args();
+    let jobs = shared.jobs.unwrap_or(1);
+    if jobs > 1 {
+        eprintln!("warning: a trace follows one machine; --jobs {jobs} runs it serially");
     }
-    let w = workload(&o.workload, o.procs, o.total);
-    let mut cfg = MachineConfig::paper_default(o.scheme, o.procs);
-    cfg.max_cycles = 60_000_000_000;
+    let w = tool_workload(&o.workload, o.procs, o.total, 4096);
+    let cfg = shared.base().scheme(o.scheme).procs(o.procs).build();
     let mut m = build_machine(&cfg, w.as_ref());
     m.enable_trace_with_capacity(o.capacity);
     m.run().unwrap_or_else(|e| panic!("{} [{} x{}]: {e}", w.name(), o.scheme, o.procs));
@@ -174,12 +136,12 @@ fn main() {
     if o.dump_spans {
         println!("{}", log.dump());
     }
-    if let Some(path) = &o.out {
-        write_validated(path, &export::chrome_trace_json(&log, o.procs), "trace");
+    if let Some(path) = &shared.out {
+        write_json_file(path, &export::chrome_trace_json(&log, o.procs), "trace");
     }
     if let Some(path) = &o.metrics {
         let doc = export::metrics_json(w.name(), o.scheme.label(), o.procs, stats, o.top_n);
-        write_validated(path, &doc, "metrics");
+        write_json_file(path, &doc, "metrics");
     }
     if o.expect_defer && defers == 0 {
         eprintln!("EXPECT FAIL: no Defer event in the trace (wanted at least one)");

@@ -13,26 +13,40 @@
 //! the `check_mode` integration test, so `cargo test` exercises the
 //! same invariants CI asserts via the binaries.
 //!
-//! Every check takes the shared worker [`Pool`] and fans its cells out
-//! through it; a cell that fails (panic or serializability violation)
-//! cancels the rest of that check's scatter and surfaces as the
-//! check's error, with the cell's (workload, scheme, procs, seed)
-//! coordinates in the message.
+//! Every check derives its cells from the invocation's base machine
+//! ([`crate::cli::Args::base`]: engine, interconnect, policy and
+//! profiling as the flags chose them) and fans them out through the
+//! shared worker [`Pool`]; a cell that fails (panic or
+//! serializability violation) cancels the rest of that check's
+//! scatter and surfaces as the check's error, with the cell's
+//! (workload, scheme, procs, seed) coordinates in the message.
 
 use tlr_core::run::{run_workload, RunReport, WorkloadSpec};
-use tlr_sim::config::{Interconnect, MachineConfig, PolicyKind, RetentionPolicy, Scheme};
+use tlr_sim::config::{
+    Interconnect, MachineConfig, MachineConfigBuilder, PolicyKind, RetentionPolicy, Scheme,
+};
 use tlr_sim::pool::{Job, Pool};
 use tlr_workloads::apps::{figure11_apps, mp3d, mp3d_coarse};
 use tlr_workloads::micro::{doubly_linked_list, multiple_counter, single_counter};
 
 use crate::{cell_coords, run_cell, speedup};
 
+/// A golden-shape check: cells derive from the base machine and fan
+/// out through the pool; `Err` carries the violated invariant.
+pub type Check = fn(&MachineConfigBuilder, &Pool) -> Result<(), String>;
+
 /// Runs one named check through `pool`, printing a `CHECK
 /// PASS`/`CHECK FAIL` line and exiting non-zero on failure (the
 /// binaries' `--check` entry point). With `--json`, the verdict is
 /// also written as `{"check": name, "pass": bool, "error"?: string}`.
-pub fn run(name: &str, f: fn(&Pool) -> Result<(), String>, pool: &Pool, json: Option<&std::path::Path>) {
-    let outcome = f(pool);
+pub fn run(
+    name: &str,
+    f: Check,
+    base: &MachineConfigBuilder,
+    pool: &Pool,
+    json: Option<&std::path::Path>,
+) {
+    let outcome = f(base, pool);
     if let Some(path) = json {
         let mut j = tlr_sim::json::JsonBuf::new();
         j.obj();
@@ -42,7 +56,7 @@ pub fn run(name: &str, f: fn(&Pool) -> Result<(), String>, pool: &Pool, json: Op
             j.str_field("error", e);
         }
         j.end_obj();
-        crate::write_json_file(path, &j.finish());
+        crate::write_json_file(path, &j.finish(), "json");
     }
     match outcome {
         Ok(()) => println!("CHECK PASS: {name}"),
@@ -65,6 +79,7 @@ fn pooled<T: Send>(pool: &Pool, jobs: Vec<Job<'_, T>>) -> Result<Vec<T>, String>
 /// Runs `w` under each scheme concurrently, returning the parallel
 /// cycle counts in scheme order.
 fn scheme_cycles(
+    base: &MachineConfigBuilder,
     pool: &Pool,
     procs: usize,
     schemes: &[Scheme],
@@ -73,9 +88,8 @@ fn scheme_cycles(
     let jobs = schemes
         .iter()
         .map(|&s| {
-            Job::new(cell_coords(w.name(), s, procs), move |_| {
-                run_cell(s, procs, w).stats.parallel_cycles
-            })
+            let cfg = base.clone().scheme(s).procs(procs).build();
+            Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w).stats.parallel_cycles)
         })
         .collect();
     pooled(pool, jobs)
@@ -92,10 +106,10 @@ fn ensure(cond: bool, msg: String) -> Result<(), String> {
 /// Figure 8 (multiple counters, no data conflicts): SLE and TLR are
 /// near-identical and both decisively beat BASE at high processor
 /// counts.
-pub fn fig08(pool: &Pool) -> Result<(), String> {
+pub fn fig08(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 8;
     let w = multiple_counter(procs, 1024);
-    let c = scheme_cycles(pool, procs, &[Scheme::Base, Scheme::Sle, Scheme::Tlr], &w)?;
+    let c = scheme_cycles(base, pool, procs, &[Scheme::Base, Scheme::Sle, Scheme::Tlr], &w)?;
     let (base, sle, tlr) = (c[0], c[1], c[2]);
     ensure(
         (sle as f64 - tlr as f64).abs() / tlr as f64 <= 0.25,
@@ -106,10 +120,11 @@ pub fn fig08(pool: &Pool) -> Result<(), String> {
 
 /// Figure 9 (one contended counter): TLR < strict-ts < BASE, TLR <
 /// SLE, TLR < MCS — the paper's scheme ordering under high conflict.
-pub fn fig09(pool: &Pool) -> Result<(), String> {
+pub fn fig09(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 8;
     let w = single_counter(procs, 1024);
     let c = scheme_cycles(
+        base,
         pool,
         procs,
         &[Scheme::Base, Scheme::Mcs, Scheme::Sle, Scheme::TlrStrictTs, Scheme::Tlr],
@@ -125,10 +140,10 @@ pub fn fig09(pool: &Pool) -> Result<(), String> {
 
 /// Figure 10 (doubly-linked list): TLR extracts the head/tail
 /// concurrency the single lock hides.
-pub fn fig10(pool: &Pool) -> Result<(), String> {
+pub fn fig10(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 8;
     let w = doubly_linked_list(procs, 256);
-    let c = scheme_cycles(pool, procs, &[Scheme::Base, Scheme::Tlr], &w)?;
+    let c = scheme_cycles(base, pool, procs, &[Scheme::Base, Scheme::Tlr], &w)?;
     let (base, tlr) = (c[0], c[1]);
     ensure(tlr < base, format!("TLR must beat BASE on the deque: {tlr} vs {base}"))
 }
@@ -136,7 +151,7 @@ pub fn fig10(pool: &Pool) -> Result<(), String> {
 /// Figure 11 (application kernels): exactly seven uniquely named
 /// apps; across the suite TLR is no slower than BASE and removes most
 /// of the cycles attributed to lock variables.
-pub fn fig11(pool: &Pool) -> Result<(), String> {
+pub fn fig11(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 4;
     let apps = figure11_apps(procs, 64);
     ensure(apps.len() == 7, format!("figure 11 needs 7 apps, found {}", apps.len()))?;
@@ -146,9 +161,8 @@ pub fn fig11(pool: &Pool) -> Result<(), String> {
     for w in &apps {
         for scheme in [Scheme::Base, Scheme::Tlr] {
             let w = w.as_ref();
-            jobs.push(Job::new(cell_coords(w.name(), scheme, procs), move |_| {
-                run_cell(scheme, procs, w)
-            }));
+            let cfg = base.clone().scheme(scheme).procs(procs).build();
+            jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w)));
         }
     }
     let reports = pooled(pool, jobs)?;
@@ -175,7 +189,7 @@ pub fn fig11(pool: &Pool) -> Result<(), String> {
 
 /// Table 1 schema: the inventory covers exactly the applications the
 /// Figure 11 suite actually runs. (Schema-only — no cells to fan out.)
-pub fn table1(_pool: &Pool) -> Result<(), String> {
+pub fn table1(_base: &MachineConfigBuilder, _pool: &Pool) -> Result<(), String> {
     let table = ["barnes", "cholesky", "mp3d", "radiosity", "water-nsq", "ocean-cont", "raytrace"];
     let mut have: Vec<String> =
         figure11_apps(2, 16).iter().map(|w| w.name().to_string()).collect();
@@ -188,8 +202,8 @@ pub fn table1(_pool: &Pool) -> Result<(), String> {
 /// Table 2 schema: the default machine configuration carries the
 /// paper's parameters (Table 2) in every field the dump prints.
 /// (Schema-only — no cells to fan out.)
-pub fn table2(_pool: &Pool) -> Result<(), String> {
-    let cfg = MachineConfig::paper_default(Scheme::Tlr, 16);
+pub fn table2(base: &MachineConfigBuilder, _pool: &Pool) -> Result<(), String> {
+    let cfg = base.clone().scheme(Scheme::Tlr).procs(16).build();
     ensure(cfg.num_procs == 16, format!("16 processors, got {}", cfg.num_procs))?;
     ensure(cfg.line_bytes() == 64, format!("64 B lines, got {}", cfg.line_bytes()))?;
     let l1_kb = cfg.l1_sets * cfg.l1_ways * 64 / 1024;
@@ -221,20 +235,17 @@ pub fn table2(_pool: &Pool) -> Result<(), String> {
 /// conservation of requests, and the paper's no-conflict shape
 /// survives the fabric change: SLE and TLR stay near-identical and
 /// both decisively beat BASE.
-pub fn exp_scalability(pool: &Pool) -> Result<(), String> {
+pub fn exp_scalability(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let total = 2048u64;
     let schemes = crate::sweeps::SCALABILITY_SCHEMES;
     let procs_list = [8usize, 32];
+    let dir = base.clone().interconnect(Interconnect::Directory);
     let mut jobs = Vec::with_capacity(procs_list.len() * schemes.len());
     for &procs in &procs_list {
         for &scheme in &schemes {
-            jobs.push(Job::new(cell_coords("multiple_counter", scheme, procs), move |_| {
-                let mut cfg = MachineConfig::paper_default(scheme, procs);
-                cfg.interconnect = Interconnect::Directory;
-                cfg.max_cycles = 60_000_000_000;
-                let r = run_workload(&cfg, &multiple_counter(procs, total));
-                r.assert_valid();
-                r
+            let cfg = dir.clone().scheme(scheme).procs(procs).build();
+            jobs.push(Job::new(cell_coords("multiple_counter", &cfg), move |_| {
+                run_cell(&cfg, &multiple_counter(procs, total))
             }));
         }
     }
@@ -280,7 +291,7 @@ pub fn exp_scalability(pool: &Pool) -> Result<(), String> {
 /// self-consistent, level 0 is indistinguishable from a machine that
 /// never heard of the fault layer, and the max-intensity cells
 /// actually inject faults.
-pub fn exp_robustness(pool: &Pool) -> Result<(), String> {
+pub fn exp_robustness(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     use tlr_sim::fault::FaultConfig;
     let procs = 4;
     let total = 256u64;
@@ -289,21 +300,18 @@ pub fn exp_robustness(pool: &Pool) -> Result<(), String> {
     let mut jobs = Vec::with_capacity(schemes.len() * 3);
     for level in [0, FaultConfig::MAX_INTENSITY] {
         for scheme in schemes {
-            jobs.push(Job::new(cell_coords("single_counter", scheme, procs), move |_| {
-                let cfg = MachineConfig::builder()
-                    .scheme(scheme)
-                    .procs(procs)
-                    .max_cycles(60_000_000_000)
-                    .faults(FaultConfig::intensity(seed, level))
-                    .build();
+            let faults = FaultConfig::intensity(seed, level);
+            let cfg = base.clone().scheme(scheme).procs(procs).faults(faults).build();
+            jobs.push(Job::new(cell_coords("single_counter", &cfg), move |_| {
                 run_workload(&cfg, &single_counter(procs, total))
             }));
         }
     }
-    // Reference cells: the pre-chaos configuration path.
+    // Reference cells: a configuration that never mentions faults.
     for scheme in schemes {
-        jobs.push(Job::new(cell_coords("single_counter", scheme, procs), move |_| {
-            run_cell(scheme, procs, &single_counter(procs, total))
+        let cfg = base.clone().scheme(scheme).procs(procs).build();
+        jobs.push(Job::new(cell_coords("single_counter", &cfg), move |_| {
+            run_cell(&cfg, &single_counter(procs, total))
         }));
     }
     let reports = pooled(pool, jobs)?;
@@ -348,33 +356,27 @@ pub fn exp_robustness(pool: &Pool) -> Result<(), String> {
 /// manager — all cells validate and commit the full workload within
 /// the cycle budget (a livelocking policy would hit `max_cycles` and
 /// fail validation) — and the timestamp policy is bit-identical to
-/// the pre-policy-trait configuration path, on both a contended and
-/// an uncontended regime.
-pub fn exp_policies(pool: &Pool) -> Result<(), String> {
+/// the base machine with no policy named (under the default flags),
+/// on both a contended and an uncontended regime.
+pub fn exp_policies(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 4;
     let contended = single_counter(procs, 256);
     let parallel = multiple_counter(procs, 512);
     let regimes: [&dyn WorkloadSpec; 2] = [&contended, &parallel];
     let mut jobs = Vec::with_capacity(regimes.len() * (PolicyKind::ALL.len() + 1));
+    let tlr = base.clone().scheme(Scheme::Tlr).procs(procs);
     for &w in &regimes {
         for kind in PolicyKind::ALL {
-            jobs.push(Job::new(cell_coords(w.name(), Scheme::Tlr, procs), move |_| {
-                let cfg = MachineConfig::builder()
-                    .scheme(Scheme::Tlr)
-                    .procs(procs)
-                    .policy(kind)
-                    // Reachable in wall clock (unlike the 60G sweep
-                    // convention), so a livelocking policy fails the
-                    // budget assertion below instead of hanging CI.
-                    .max_cycles(200_000_000)
-                    .build();
-                run_workload(&cfg, w)
-            }));
+            // Reachable in wall clock (unlike the sweep-wide budget),
+            // so a livelocking policy fails the budget assertion below
+            // instead of hanging CI.
+            let cfg = tlr.clone().policy(kind).max_cycles(200_000_000).build();
+            jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| run_workload(&cfg, w)));
         }
-        // Reference cell: the pre-policy configuration path.
-        jobs.push(Job::new(cell_coords(w.name(), Scheme::Tlr, procs), move |_| {
-            run_cell(Scheme::Tlr, procs, w)
-        }));
+        // Reference cell: the base machine, whose policy the flags
+        // chose (timestamp unless `--policy` says otherwise).
+        let cfg = tlr.clone().build();
+        jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w)));
     }
     let reports = pooled(pool, jobs)?;
     for per_regime in reports.chunks(PolicyKind::ALL.len() + 1) {
@@ -409,9 +411,9 @@ pub fn exp_policies(pool: &Pool) -> Result<(), String> {
 /// carry a timeline that tiles the run exactly, satisfy the
 /// cycle-accounting identity, and leave the simulated run itself
 /// untouched — its statistics equal the unprofiled cell's bit for
-/// bit. Runs on whichever engine the process selected (`--engine`),
-/// so CI exercises both.
-pub fn profile(pool: &Pool) -> Result<(), String> {
+/// bit. Runs on the engine the base machine carries (`--engine`), so
+/// CI exercises both.
+pub fn profile(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     use tlr_sim::prof::ProfConfig;
     let procs = 4;
     let w = single_counter(procs, 256);
@@ -419,14 +421,9 @@ pub fn profile(pool: &Pool) -> Result<(), String> {
         .iter()
         .map(|&on| {
             let w = &w;
-            Job::new(cell_coords(w.name(), Scheme::Tlr, procs), move |_| {
-                let mut cfg = MachineConfig::paper_default(Scheme::Tlr, procs);
-                cfg.max_cycles = 60_000_000_000;
-                cfg.profile = if on { ProfConfig::on() } else { ProfConfig::off() };
-                let r = run_workload(&cfg, w);
-                r.assert_valid();
-                r
-            })
+            let profile = if on { ProfConfig::on() } else { ProfConfig::off() };
+            let cfg = base.clone().scheme(Scheme::Tlr).procs(procs).profile(profile).build();
+            Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w))
         })
         .collect();
     let reports = pooled(pool, jobs)?;
@@ -475,7 +472,7 @@ pub fn profile(pool: &Pool) -> Result<(), String> {
 
 /// §6.3 granularity experiment: the coarse lock cripples BASE but TLR
 /// still extracts the cell-level parallelism it hides.
-pub fn exp_coarse_fine(pool: &Pool) -> Result<(), String> {
+pub fn exp_coarse_fine(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 4;
     let (iters, cells) = (96, 512);
     let fine = mp3d(procs, iters, cells);
@@ -484,7 +481,10 @@ pub fn exp_coarse_fine(pool: &Pool) -> Result<(), String> {
         [(Scheme::Base, &fine), (Scheme::Base, &coarse), (Scheme::Tlr, &coarse)];
     let jobs = plan
         .iter()
-        .map(|&(s, w)| Job::new(cell_coords(w.name(), s, procs), move |_| run_cell(s, procs, w)))
+        .map(|&(s, w)| {
+            let cfg = base.clone().scheme(s).procs(procs).build();
+            Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w))
+        })
         .collect();
     let r = pooled(pool, jobs)?;
     let (base_fine, base_coarse, tlr_coarse) = (&r[0], &r[1], &r[2]);
@@ -506,20 +506,18 @@ pub fn exp_coarse_fine(pool: &Pool) -> Result<(), String> {
 
 /// §6.3 RMW-predictor experiment: enabling the predictor never slows
 /// BASE down materially, and helps somewhere in the suite.
-pub fn exp_rmw_predictor(pool: &Pool) -> Result<(), String> {
+pub fn exp_rmw_predictor(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 4;
     let apps = figure11_apps(procs, 48);
+    let base = base.clone().scheme(Scheme::Base).procs(procs).build();
     let mut jobs = Vec::with_capacity(apps.len() * 2);
     for w in &apps {
         for enabled in [false, true] {
             let w = w.as_ref();
-            jobs.push(Job::new(cell_coords(w.name(), Scheme::Base, procs), move |_| {
-                let mut cfg = MachineConfig::paper_default(Scheme::Base, procs);
-                cfg.rmw_predictor_enabled = enabled;
-                cfg.max_cycles = 60_000_000_000;
-                let r = run_workload(&cfg, w);
-                r.assert_valid();
-                r.stats.parallel_cycles
+            let mut cfg = base.clone();
+            cfg.rmw_predictor_enabled = enabled;
+            jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| {
+                run_cell(&cfg, w).stats.parallel_cycles
             }));
         }
     }
@@ -535,11 +533,11 @@ pub fn exp_rmw_predictor(pool: &Pool) -> Result<(), String> {
 
 /// §3.3 resource ablations: starving every TLR resource shapes
 /// performance but never correctness — all configurations validate.
-pub fn exp_ablations(pool: &Pool) -> Result<(), String> {
+pub fn exp_ablations(base: &MachineConfigBuilder, pool: &Pool) -> Result<(), String> {
     let procs = 4;
+    let tlr = base.clone().scheme(Scheme::Tlr).procs(procs).build();
     let base = |f: fn(&mut MachineConfig)| {
-        let mut c = MachineConfig::paper_default(Scheme::Tlr, procs);
-        c.max_cycles = 60_000_000_000;
+        let mut c = tlr.clone();
         f(&mut c);
         c
     };
@@ -555,7 +553,7 @@ pub fn exp_ablations(pool: &Pool) -> Result<(), String> {
     let jobs = plan
         .iter()
         .map(|(cfg, w, what)| {
-            Job::new(cell_coords(w.name(), cfg.scheme, procs), move |_| {
+            Job::new(cell_coords(w.name(), cfg), move |_| {
                 let r: RunReport = run_workload(cfg, *w);
                 r.validation.clone().map_err(|e| format!("{what}: {e}"))
             })

@@ -1,21 +1,38 @@
 //! Shared command-line parsing for the figure/table/exp binaries.
 //!
 //! Every binary accepts the same core surface — `--quick`, `--check`,
-//! `--procs`, `--seeds`, `--csv`, `--json`, `--out`, `--jobs` — which
-//! used to be re-parsed (and drift-prone) in each `main`. [`Args`]
-//! centralizes it; binaries with extra flags (`tlr-trace`'s workload
-//! selection, `exp_robustness`'s `--faults`/`--fault-seed`) layer them
-//! on top with [`Args::parse_with`] without re-implementing the core.
+//! `--procs`, `--seeds`, `--csv`, `--json`, `--out`, `--jobs`, and the
+//! four machine flags `--engine`, `--interconnect`, `--policy`,
+//! `--profile`. [`Args`] parses it once; binaries with extra flags
+//! (`tlr-trace`'s workload selection, `exp_robustness`'s
+//! `--faults`/`--fault-seed`) layer them on top through the `extra`
+//! hook of [`Args::parse_with`] without re-implementing the core.
+//!
+//! The machine flags reach the simulator by value: [`Args::base`]
+//! turns them into one [`MachineConfigBuilder`], and every experiment
+//! cell, check and tool derives its configuration from that base.
+//! There is no process-wide default to set or to read.
 
 use std::path::PathBuf;
 
-use tlr_sim::config::{Engine, Interconnect, PolicyKind};
+use tlr_core::run::WorkloadSpec;
+use tlr_sim::config::{
+    Engine, Interconnect, MachineConfig, MachineConfigBuilder, PolicyKind, Scheme,
+};
 use tlr_sim::fault::FaultConfig;
 use tlr_sim::pool::Pool;
+use tlr_sim::prof::ProfConfig;
+use tlr_workloads::apps::{mp3d, mp3d_coarse};
+use tlr_workloads::micro::{doubly_linked_list, multiple_counter, single_counter};
 
 /// Default root seed for the chaos sweep's fault streams (arbitrary,
 /// fixed so `exp_robustness` output is reproducible out of the box).
 pub const DEFAULT_FAULT_SEED: u64 = 0xc4a0_5eed;
+
+/// The runaway-simulation budget every experiment cell runs under
+/// (far above any real cell; `exp_policies` tightens it so a
+/// livelocking policy fails in wall-clock reach).
+pub const SWEEP_MAX_CYCLES: u64 = 60_000_000_000;
 
 /// The shared flag surface, printed by `--help`. Binaries with extra
 /// flags print their own section first and append this one.
@@ -62,11 +79,11 @@ pub struct Args {
     /// `None` falls back to `TLR_JOBS` or the host parallelism.
     pub jobs: Option<usize>,
     /// Maximum fault intensity for chaos sweeps (`--faults`, parsed
-    /// only by [`Args::parse_chaos`]; `exp_robustness` sweeps levels
+    /// only by [`chaos_flags`]; `exp_robustness` sweeps levels
     /// `0..=faults`).
     pub faults: u32,
     /// Root seed for the fault streams (`--fault-seed`, parsed only by
-    /// [`Args::parse_chaos`]).
+    /// [`chaos_flags`]).
     pub fault_seed: u64,
     /// Simulation engine (`--engine event|cycle`); the discrete-event
     /// engine is the default, the cycle-stepped oracle is kept for
@@ -134,63 +151,22 @@ impl ArgStream {
 }
 
 impl Args {
-    /// Parses the core flag surface from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse() -> Self {
-        Self::parse_with(|_, _| false)
-    }
-
-    /// Parses the core surface plus the chaos flags `--faults N`
-    /// (maximum intensity level) and `--fault-seed S`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse_chaos() -> Self {
-        Self::parse_with(chaos_flags)
-    }
-
-    /// Parses the process arguments, offering each flag to `extra`
-    /// first (so binaries can both add flags and override a core
-    /// flag's meaning); unclaimed flags fall through to the core
+    /// Parses the process arguments, starting from `defaults` (an
+    /// experiment's own defaults, e.g. `exp_scalability`'s directory
+    /// sweep, or [`Args::default`]) and offering each flag to `extra`
+    /// first, so binaries can both add flags and override a core
+    /// flag's meaning; unclaimed flags fall through to the core
     /// parser. `extra` returns whether it consumed the flag.
     ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed arguments.
-    pub fn parse_with(extra: impl FnMut(&mut Args, Flag<'_>) -> bool) -> Self {
-        Self::parse_with_defaults(Args::default(), extra)
+    pub fn parse_with(defaults: Args, extra: impl FnMut(&mut Args, Flag<'_>) -> bool) -> Self {
+        Self::parse_tokens_with(defaults, std::env::args().skip(1).collect(), extra)
     }
 
-    /// [`Args::parse_with`] starting from binary-specific `defaults`
-    /// instead of [`Args::default`] — `exp_scalability` defaults to
-    /// the home-node directory and a 32–256-processor sweep, which the
-    /// shared bus-sized defaults cannot express.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse_with_defaults(
-        defaults: Args,
-        extra: impl FnMut(&mut Args, Flag<'_>) -> bool,
-    ) -> Self {
-        let opts = Self::parse_tokens_with(defaults, std::env::args().skip(1).collect(), extra);
-        // Thread the engine/interconnect choices to every
-        // MachineConfig the sweep helpers construct. Only real process
-        // arguments reach here — [`Args::parse_tokens`] leaves the
-        // globals alone so tests (which share one process) pick them
-        // via the config builder instead.
-        tlr_sim::config::set_default_engine(opts.engine);
-        tlr_sim::config::set_default_profile(opts.profile);
-        tlr_sim::config::set_default_interconnect(opts.interconnect);
-        tlr_sim::config::set_default_policy(opts.policy);
-        opts
-    }
-
-    /// [`Args::parse_with`] over an explicit token list (tests).
+    /// [`Args::parse_with`] from [`Args::default`] over an explicit
+    /// token list (tests).
     ///
     /// # Panics
     ///
@@ -202,7 +178,7 @@ impl Args {
         Self::parse_tokens_with(Args::default(), tokens, extra)
     }
 
-    /// [`Args::parse_tokens`] starting from binary-specific `defaults`.
+    /// [`Args::parse_with`] over an explicit token list.
     ///
     /// # Panics
     ///
@@ -285,6 +261,20 @@ impl Args {
         opts
     }
 
+    /// The machine every cell of this invocation starts from: Table 2
+    /// with the `--engine`, `--interconnect`, `--policy` and
+    /// `--profile` choices applied and the [`SWEEP_MAX_CYCLES`]
+    /// budget. Cells derive from it with builder setters (scheme,
+    /// processor count, the knob under study).
+    pub fn base(&self) -> MachineConfigBuilder {
+        MachineConfig::builder()
+            .engine(self.engine)
+            .interconnect(self.interconnect)
+            .policy(self.policy)
+            .profile(if self.profile { ProfConfig::on() } else { ProfConfig::off() })
+            .max_cycles(SWEEP_MAX_CYCLES)
+    }
+
     /// Scales a default work total down for quick mode.
     pub fn scale(&self, full: u64) -> u64 {
         if self.quick {
@@ -328,8 +318,50 @@ impl Flag<'_> {
     }
 }
 
+/// The `--scheme` value of the single-machine tools (`tlr-trace`,
+/// `tlr-profile`).
+///
+/// # Panics
+///
+/// Panics with the accepted spellings on an unknown scheme.
+pub fn parse_scheme(s: &str) -> Scheme {
+    match s {
+        "base" => Scheme::Base,
+        "mcs" => Scheme::Mcs,
+        "sle" => Scheme::Sle,
+        "tlr" => Scheme::Tlr,
+        "tlr_strict_ts" => Scheme::TlrStrictTs,
+        other => panic!("unknown scheme {other:?} (base|mcs|sle|tlr|tlr_strict_ts)"),
+    }
+}
+
+/// The `--workload` of the single-machine tools: `total` work items
+/// over `procs` processors (`cells` sizes the mp3d kernels).
+///
+/// # Panics
+///
+/// Panics with the accepted names on an unknown workload.
+pub fn tool_workload(name: &str, procs: usize, total: u64, cells: u64) -> Box<dyn WorkloadSpec> {
+    match name {
+        "single_counter" => Box::new(single_counter(procs, total)),
+        "multiple_counter" => Box::new(multiple_counter(procs, total)),
+        "linked_list" => Box::new(doubly_linked_list(procs, total)),
+        "mp3d" => Box::new(mp3d(procs, total, cells)),
+        "mp3d_coarse" => Box::new(mp3d_coarse(procs, total, cells)),
+        other => panic!(
+            "unknown workload {other:?} \
+             (single_counter|multiple_counter|linked_list|mp3d|mp3d_coarse)"
+        ),
+    }
+}
+
+/// The `extra` hook of binaries without flags of their own.
+pub fn no_extra_flags(_: &mut Args, _: Flag<'_>) -> bool {
+    false
+}
+
 /// The `extra` hook implementing `--faults` / `--fault-seed`.
-fn chaos_flags(opts: &mut Args, mut flag: Flag<'_>) -> bool {
+pub fn chaos_flags(opts: &mut Args, mut flag: Flag<'_>) -> bool {
     match flag.name {
         "--faults" => {
             opts.faults = flag.value().parse().expect("bad fault intensity");
@@ -417,6 +449,25 @@ mod tests {
         assert!(!Args::parse_tokens(vec![], |_, _| false).profile);
         let a = Args::parse_tokens(toks("--profile --quick"), |_, _| false);
         assert!(a.profile && a.quick);
+    }
+
+    #[test]
+    fn machine_flags_reach_the_base_config() {
+        let a = Args::parse_tokens(
+            toks("--engine cycle --interconnect directory --policy karma --profile"),
+            |_, _| false,
+        );
+        let cfg = a.base().build();
+        assert_eq!(cfg.engine, Engine::CycleStepped);
+        assert_eq!(cfg.interconnect, Interconnect::Directory);
+        assert_eq!(cfg.policy, PolicyKind::Karma);
+        assert_eq!(cfg.profile, ProfConfig::on());
+        assert_eq!(cfg.max_cycles, SWEEP_MAX_CYCLES);
+        // Without the flags the base is the paper's machine.
+        assert_eq!(
+            Args::default().base().build(),
+            MachineConfig::builder().max_cycles(SWEEP_MAX_CYCLES).build()
+        );
     }
 
     #[test]

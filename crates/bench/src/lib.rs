@@ -1,9 +1,12 @@
 //! Benchmark harness for regenerating every table and figure of the
 //! paper's evaluation (§5, §6).
 //!
-//! Each figure/table has its own binary (see `src/bin/`); this
-//! library holds the shared sweep and reporting machinery. All
-//! binaries share the flag surface parsed by [`cli::Args`]:
+//! Each figure/table has its own binary (see `src/bin/`), and every
+//! binary's `main` is one call into the [`experiments`] registry,
+//! which holds each experiment's defaults, golden-shape check and
+//! sweep; this library holds the shared sweep and reporting
+//! machinery. All binaries share the flag surface parsed by
+//! [`cli::Args`]:
 //!
 //! * `--quick` — smaller work totals (CI-sized, ~seconds per series);
 //! * `--procs 1,2,4,8,16` — override the processor counts;
@@ -17,35 +20,37 @@
 //!   threads (default: `TLR_JOBS` or the host parallelism). Results
 //!   are merged in submission order, so every output is byte-identical
 //!   to `--jobs 1` (enforced by `tests/parallel_determinism.rs`);
-//! * `--interconnect snooping|directory` — which coherence fabric
-//!   orders requests; the bus tops out at 16 processors, the
-//!   home-node directory at 256 (`exp_scalability` defaults to the
-//!   directory via [`cli::Args::parse_with_defaults`]);
+//! * `--engine`, `--interconnect`, `--policy`, `--profile` — the
+//!   machine every cell starts from ([`cli::Args::base`]); the bus
+//!   tops out at 16 processors, the home-node directory at 256
+//!   (`exp_scalability` defaults to the directory);
 //! * `exp_robustness` additionally takes `--faults N` (maximum chaos
 //!   intensity level) and `--fault-seed S` (root seed for the fault
-//!   streams) via [`cli::Args::parse_chaos`].
+//!   streams) via [`cli::chaos_flags`].
 //!
 //! Run lengths are scaled down from the paper (2^24/2^16 iterations)
 //! as documented in `DESIGN.md`; shapes, not absolute cycle counts,
 //! are the reproduction target.
 
 use tlr_core::run::{run_workload, RunReport, WorkloadSpec};
-use tlr_sim::config::{default_interconnect, Interconnect, MachineConfig, Scheme};
+use tlr_sim::config::{MachineConfig, Scheme};
 use tlr_sim::pool::{CellCoords, CellResult, Job, Pool};
 
 pub mod checks;
 pub mod cli;
+pub mod experiments;
 pub mod sweeps;
 
-pub use cli::Args as BenchOpts;
+use cli::Args;
 
-/// Coordinates for one sweep cell (used in pool-error messages).
-pub fn cell_coords(workload: &str, scheme: Scheme, procs: usize) -> CellCoords {
+/// Coordinates of the cell that runs `cfg` (used in pool-error
+/// messages).
+pub fn cell_coords(workload: &str, cfg: &MachineConfig) -> CellCoords {
     CellCoords {
         workload: workload.to_string(),
-        scheme: scheme.label().to_string(),
-        procs,
-        seed: MachineConfig::paper_default(scheme, procs).seed,
+        scheme: cfg.scheme.label().to_string(),
+        procs: cfg.num_procs,
+        seed: cfg.seed,
     }
 }
 
@@ -63,53 +68,35 @@ pub fn unwrap_cells<T>(results: Vec<CellResult<T>>) -> Vec<T> {
     results.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).collect()
 }
 
-/// Fans one series sweep (`procs_list` × `schemes` cells) out to
-/// `pool` and merges the per-cell reports in submission order, so the
-/// returned rows — and everything serialized from them — are
+/// Fans one series sweep (`opts.procs` × `schemes` cells, each
+/// derived from [`Args::base`] and averaged over `opts.seeds`)
+/// out to `pool` and merges the per-cell reports in submission order,
+/// so the returned rows — and everything serialized from them — are
 /// byte-identical to a serial sweep regardless of the worker count.
 pub fn sweep_series<W, F>(
+    opts: &Args,
     pool: &Pool,
     workload_name: &str,
     schemes: &[Scheme],
-    procs_list: &[usize],
-    seeds: u64,
     make_workload: F,
 ) -> Vec<(usize, Vec<RunReport>)>
 where
     W: WorkloadSpec,
     F: Fn(usize) -> W + Sync,
 {
-    sweep_series_on(pool, workload_name, default_interconnect(), schemes, procs_list, seeds, make_workload)
-}
-
-/// [`sweep_series`] over an explicit coherence interconnect — the
-/// scalability sweep runs on the home-node directory regardless of the
-/// process-wide default, and tests pick fabrics without touching
-/// process globals.
-pub fn sweep_series_on<W, F>(
-    pool: &Pool,
-    workload_name: &str,
-    interconnect: Interconnect,
-    schemes: &[Scheme],
-    procs_list: &[usize],
-    seeds: u64,
-    make_workload: F,
-) -> Vec<(usize, Vec<RunReport>)>
-where
-    W: WorkloadSpec,
-    F: Fn(usize) -> W + Sync,
-{
+    let (base, seeds) = (opts.base(), opts.seeds);
     let make_workload = &make_workload;
-    let mut jobs = Vec::with_capacity(procs_list.len() * schemes.len());
-    for &procs in procs_list {
+    let mut jobs = Vec::with_capacity(opts.procs.len() * schemes.len());
+    for &procs in &opts.procs {
         for &scheme in schemes {
-            jobs.push(Job::new(cell_coords(workload_name, scheme, procs), move |_| {
-                run_cell_seeded_on(interconnect, scheme, procs, &make_workload(procs), seeds)
+            let cfg = base.clone().scheme(scheme).procs(procs).build();
+            jobs.push(Job::new(cell_coords(workload_name, &cfg), move |_| {
+                run_cell_seeded(&cfg, &make_workload(procs), seeds)
             }));
         }
     }
     let mut cells = unwrap_cells(pool.scatter_indexed(jobs)).into_iter();
-    procs_list
+    opts.procs
         .iter()
         .map(|&procs| {
             (procs, (0..schemes.len()).map(|_| cells.next().expect("one cell per scheme")).collect())
@@ -117,44 +104,23 @@ where
         .collect()
 }
 
-/// Runs one (scheme, procs) cell of a sweep.
-pub fn run_cell(scheme: Scheme, procs: usize, workload: &dyn WorkloadSpec) -> RunReport {
-    let mut cfg = MachineConfig::paper_default(scheme, procs);
-    cfg.max_cycles = 60_000_000_000;
-    let report = run_workload(&cfg, workload);
+/// Runs one cell and asserts its serializability check passed.
+pub fn run_cell(cfg: &MachineConfig, workload: &dyn WorkloadSpec) -> RunReport {
+    let report = run_workload(cfg, workload);
     report.assert_valid();
     report
 }
 
-/// Runs one cell averaged over `seeds` perturbed runs; the returned
-/// report carries the mean parallel cycle count (other counters come
-/// from the first seed).
-pub fn run_cell_seeded(
-    scheme: Scheme,
-    procs: usize,
-    workload: &dyn WorkloadSpec,
-    seeds: u64,
-) -> RunReport {
-    run_cell_seeded_on(default_interconnect(), scheme, procs, workload, seeds)
-}
-
-/// [`run_cell_seeded`] over an explicit coherence interconnect.
-pub fn run_cell_seeded_on(
-    interconnect: Interconnect,
-    scheme: Scheme,
-    procs: usize,
-    workload: &dyn WorkloadSpec,
-    seeds: u64,
-) -> RunReport {
+/// Runs one cell averaged over `seeds` perturbed runs of `cfg`; the
+/// returned report carries the mean parallel cycle count (other
+/// counters come from the first seed, which is `cfg`'s own).
+pub fn run_cell_seeded(cfg: &MachineConfig, workload: &dyn WorkloadSpec, seeds: u64) -> RunReport {
     let mut first: Option<RunReport> = None;
     let mut total_cycles = 0u64;
     for s in 0..seeds {
-        let mut cfg = MachineConfig::paper_default(scheme, procs);
-        cfg.interconnect = interconnect;
-        cfg.max_cycles = 60_000_000_000;
+        let mut cfg = cfg.clone();
         cfg.seed = cfg.seed.wrapping_add(s.wrapping_mul(0x9e37_79b9));
-        let report = run_workload(&cfg, workload);
-        report.assert_valid();
+        let report = run_cell(&cfg, workload);
         total_cycles += report.stats.parallel_cycles;
         if first.is_none() {
             first = Some(report);
@@ -297,22 +263,6 @@ pub fn series_json(title: &str, schemes: &[Scheme], rows: &[(usize, Vec<RunRepor
     j.finish()
 }
 
-/// Serializes a sweep as JSON (see [`series_json`]), validates the
-/// result, and writes it to `path`.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written or (a bug) the generated JSON
-/// does not parse.
-pub fn write_series_json(
-    path: &std::path::Path,
-    title: &str,
-    schemes: &[Scheme],
-    rows: &[(usize, Vec<RunReport>)],
-) {
-    write_json_file(path, &series_json(title, schemes, rows));
-}
-
 /// Like [`series_json`] but for per-application rows (Figure 11):
 /// rows are keyed by app name instead of processor count.
 pub fn apps_json(title: &str, procs: usize, rows: &[(String, Vec<RunReport>)]) -> String {
@@ -338,34 +288,21 @@ pub fn apps_json(title: &str, procs: usize, rows: &[(String, Vec<RunReport>)]) -
     j.finish()
 }
 
-/// Writes [`apps_json`] to `path` with validation.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written or the generated JSON does
-/// not parse.
-pub fn write_apps_json(
-    path: &std::path::Path,
-    title: &str,
-    procs: usize,
-    rows: &[(String, Vec<RunReport>)],
-) {
-    write_json_file(path, &apps_json(title, procs, rows));
-}
-
-/// Validates `json` with the in-repo parser and writes it to `path`
-/// (every `--json` output self-checks before it lands on disk).
+/// Validates `json` with the in-repo parser, writes it to `path` and
+/// announces it as `(<what> written to <path>)` (every JSON output
+/// self-checks before it lands on disk).
 ///
 /// # Panics
 ///
 /// Panics if the JSON is malformed (a serializer bug) or the file
 /// cannot be written.
-pub fn write_json_file(path: &std::path::Path, json: &str) {
-    tlr_sim::json::validate(json)
-        .unwrap_or_else(|e| panic!("generated JSON for {} is malformed: {e}", path.display()));
+pub fn write_json_file(path: &std::path::Path, json: &str, what: &str) {
+    tlr_sim::json::validate(json).unwrap_or_else(|e| {
+        panic!("generated {what} JSON for {} is malformed: {e}", path.display())
+    });
     std::fs::write(path, json)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("(json written to {})", path.display());
+    println!("({what} written to {})", path.display());
 }
 
 /// Speedup of `a` over `b` as the paper defines it: cycles(b) /
@@ -379,10 +316,14 @@ mod tests {
     use super::*;
     use tlr_workloads::micro::single_counter;
 
+    fn tlr2() -> MachineConfig {
+        Args::default().base().scheme(Scheme::Tlr).procs(2).build()
+    }
+
     #[test]
     fn run_cell_produces_valid_report() {
         let w = single_counter(2, 64);
-        let r = run_cell(Scheme::Tlr, 2, &w);
+        let r = run_cell(&tlr2(), &w);
         assert!(r.stats.parallel_cycles > 0);
         assert_eq!(r.procs, 2);
     }
@@ -390,7 +331,7 @@ mod tests {
     #[test]
     fn speedup_orientation() {
         let w = single_counter(2, 64);
-        let a = run_cell(Scheme::Tlr, 2, &w);
+        let a = run_cell(&tlr2(), &w);
         let mut b = a.clone();
         b.stats.parallel_cycles = a.stats.parallel_cycles * 2;
         assert!((speedup(&a, &b) - 2.0).abs() < 1e-9);
@@ -399,13 +340,10 @@ mod tests {
     #[test]
     fn series_json_is_valid_and_carries_cells() {
         let w = single_counter(2, 64);
-        let rows = vec![(2usize, vec![run_cell(Scheme::Tlr, 2, &w)])];
-        let path = std::env::temp_dir().join("tlr_bench_series_test.json");
-        write_series_json(&path, "test series", &[Scheme::Tlr], &rows);
-        let s = std::fs::read_to_string(&path).expect("written");
+        let rows = vec![(2usize, vec![run_cell(&tlr2(), &w)])];
+        let s = series_json("test series", &[Scheme::Tlr], &rows);
         tlr_sim::json::validate(&s).expect("valid JSON");
         assert!(s.contains("\"parallel_cycles\""));
         assert!(s.contains("BASE+SLE+TLR"), "{s}");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,12 +1,14 @@
 //! Library entry points for the figure/table/exp binaries.
 //!
 //! Each function runs its binary's full sweep through the
-//! deterministic parallel execution engine ([`tlr_sim::pool`]) and
-//! returns the collected rows plus a `json()` serializer. The binaries
-//! in `src/bin/` are thin wrappers (argument parsing + printing)
-//! around these entry points, and `tests/parallel_determinism.rs`
-//! calls them directly to assert that `jobs=1` and `jobs=4` produce
-//! byte-identical JSON documents.
+//! deterministic parallel execution engine ([`tlr_sim::pool`]),
+//! deriving every cell from the invocation's base machine
+//! ([`Args::base`]), and returns the collected rows as a
+//! [`Report`]: the stdout table, the JSON document and, for the
+//! processor sweeps, the CSV export. The [`crate::experiments`]
+//! registry maps each binary to its entry point, and
+//! `tests/parallel_determinism.rs` walks that registry to assert that
+//! `jobs=1` and `jobs=4` produce byte-identical JSON documents.
 //!
 //! Determinism argument: every cell is a pure function of (workload
 //! parameters, scheme, procs, seed) — the machine's RNG is seeded from
@@ -15,16 +17,34 @@
 //! here are independent of scheduling, and the serializers are pure
 //! functions of the rows.
 
-use tlr_core::run::{run_workload, RunReport, WorkloadSpec};
+use std::path::Path;
+
+use tlr_core::run::{RunReport, WorkloadSpec};
 use tlr_sim::config::{MachineConfig, PolicyKind, RetentionPolicy, Scheme};
 use tlr_sim::pool::{Job, Pool};
 use tlr_workloads::apps::{figure11_apps, mp3d, mp3d_coarse};
 use tlr_workloads::micro::{doubly_linked_list, multiple_counter, single_counter};
 
+use crate::cli::Args;
 use crate::{
     apps_json, cell_coords, print_events, print_series, run_cell, series_json, speedup,
-    unwrap_cells, BenchOpts,
+    unwrap_cells, write_series_csv,
 };
+
+/// What an experiment's sweep returns: one result set rendered three
+/// ways. Every rendering is a pure function of the collected rows.
+pub trait Report {
+    /// Prints the human-readable table to stdout.
+    fn print(&self);
+
+    /// The results as a JSON document (`--json`).
+    fn json(&self) -> String;
+
+    /// Writes the CSV export (`--csv`). Only the processor sweeps
+    /// have one; the other experiments accept the flag and write
+    /// nothing.
+    fn write_csv(&self, _path: &Path) {}
+}
 
 /// A processor-count sweep (Figures 8-10): one row per processor
 /// count, one report per scheme.
@@ -39,16 +59,11 @@ pub struct SeriesSweep {
     pub rows: Vec<(usize, Vec<RunReport>)>,
 }
 
-impl SeriesSweep {
-    /// The sweep as a JSON document.
-    pub fn json(&self) -> String {
-        series_json(&self.json_title, &self.schemes, &self.rows)
-    }
-
+impl Report for SeriesSweep {
     /// Prints the figure-style table plus the last row's event
     /// diagnostics, and — on profiled sweeps — per-cell saturation
     /// verdicts.
-    pub fn print(&self) {
+    fn print(&self) {
         print_series(&self.display_title, &self.schemes, &self.rows);
         if let Some((_, last)) = self.rows.last() {
             print_events(&self.schemes, last);
@@ -57,14 +72,22 @@ impl SeriesSweep {
             crate::print_saturation(&self.rows);
         }
     }
+
+    fn json(&self) -> String {
+        series_json(&self.json_title, &self.schemes, &self.rows)
+    }
+
+    fn write_csv(&self, path: &Path) {
+        write_series_csv(path, &self.schemes, &self.rows);
+    }
 }
 
 /// Figure 8: multiple-counter microbenchmark (coarse-grain locking,
 /// no data conflicts).
-pub fn fig08(opts: &BenchOpts, pool: &Pool) -> SeriesSweep {
+pub fn fig08(opts: &Args, pool: &Pool) -> SeriesSweep {
     let total = opts.scale(1 << 14);
     let schemes = vec![Scheme::Base, Scheme::Mcs, Scheme::Sle, Scheme::Tlr];
-    let rows = crate::sweep_series(pool, "multiple_counter", &schemes, &opts.procs, opts.seeds, |procs| {
+    let rows = crate::sweep_series(opts, pool, "multiple_counter", &schemes, |procs| {
         multiple_counter(procs, total)
     });
     SeriesSweep {
@@ -79,10 +102,10 @@ pub fn fig08(opts: &BenchOpts, pool: &Pool) -> SeriesSweep {
 
 /// Figure 9: single-counter microbenchmark (fine-grain locking, high
 /// conflict).
-pub fn fig09(opts: &BenchOpts, pool: &Pool) -> SeriesSweep {
+pub fn fig09(opts: &Args, pool: &Pool) -> SeriesSweep {
     let total = opts.scale(1 << 12);
     let schemes = vec![Scheme::Base, Scheme::Mcs, Scheme::Sle, Scheme::TlrStrictTs, Scheme::Tlr];
-    let rows = crate::sweep_series(pool, "single_counter", &schemes, &opts.procs, opts.seeds, |procs| {
+    let rows = crate::sweep_series(opts, pool, "single_counter", &schemes, |procs| {
         single_counter(procs, total)
     });
     SeriesSweep {
@@ -97,10 +120,10 @@ pub fn fig09(opts: &BenchOpts, pool: &Pool) -> SeriesSweep {
 
 /// Figure 10: doubly-linked-list microbenchmark (fine-grain locking,
 /// dynamic conflicts).
-pub fn fig10(opts: &BenchOpts, pool: &Pool) -> SeriesSweep {
+pub fn fig10(opts: &Args, pool: &Pool) -> SeriesSweep {
     let total_pairs = opts.scale(1 << 11);
     let schemes = vec![Scheme::Base, Scheme::Mcs, Scheme::Sle, Scheme::Tlr];
-    let rows = crate::sweep_series(pool, "linked_list", &schemes, &opts.procs, opts.seeds, |procs| {
+    let rows = crate::sweep_series(opts, pool, "linked_list", &schemes, |procs| {
         doubly_linked_list(procs, total_pairs)
     });
     SeriesSweep {
@@ -126,27 +149,60 @@ pub struct AppsSweep {
     pub rows: Vec<(String, Vec<RunReport>)>,
 }
 
-impl AppsSweep {
-    /// The sweep as a JSON document.
-    pub fn json(&self) -> String {
+impl Report for AppsSweep {
+    /// Prints each application's BASE / SLE / TLR time normalized to
+    /// BASE, split into lock-variable and other cycles (the two-part
+    /// bars of Figure 11), plus the TLR and MCS speedups over BASE.
+    fn print(&self) {
+        println!(
+            "Figure 11: application performance, {} processors, scale {}",
+            self.procs, self.scale
+        );
+        println!(
+            "{:<12} {:>9} {:>22} {:>22} {:>22} {:>9} {:>9}",
+            "app", "BASE(cyc)", "BASE lock/other", "SLE lock/other", "TLR lock/other", "TLR/BASE", "MCS/BASE"
+        );
+        for (name, reports) in &self.rows {
+            let (base, sle, tlr, mcs) = (&reports[0], &reports[1], &reports[2], &reports[3]);
+            let part = |r: &RunReport| {
+                let total = (r.stats.parallel_cycles * self.procs as u64).max(1) as f64;
+                let lock = r.stats.total_lock_cycles() as f64 / total;
+                let norm = r.stats.parallel_cycles as f64 / base.stats.parallel_cycles as f64;
+                format!("{:>6.3} ({:>4.1}%/{:>4.1}%)", norm, lock * 100.0, (1.0 - lock) * 100.0)
+            };
+            println!(
+                "{:<12} {:>9} {:>22} {:>22} {:>22} {:>9.2} {:>9.2}",
+                name,
+                base.stats.parallel_cycles,
+                part(base),
+                part(sle),
+                part(tlr),
+                speedup(tlr, base),
+                speedup(mcs, base),
+            );
+        }
+        println!("\n(normalized execution time; lock% = cycles attributed to lock variables)");
+    }
+
+    fn json(&self) -> String {
         apps_json(&self.json_title, self.procs, &self.rows)
     }
 }
 
 /// Figure 11: application kernels at one processor count, under
 /// BASE / SLE / TLR / MCS.
-pub fn fig11(opts: &BenchOpts, pool: &Pool) -> AppsSweep {
+pub fn fig11(opts: &Args, pool: &Pool) -> AppsSweep {
     let procs = *opts.procs.last().unwrap_or(&16);
     let scale = opts.scale(512);
     let apps = figure11_apps(procs, scale);
     let schemes = [Scheme::Base, Scheme::Sle, Scheme::Tlr, Scheme::Mcs];
+    let base = opts.base().procs(procs);
     let mut jobs = Vec::with_capacity(apps.len() * schemes.len());
     for w in &apps {
         for &scheme in &schemes {
             let w = w.as_ref();
-            jobs.push(Job::new(cell_coords(w.name(), scheme, procs), move |_| {
-                run_cell(scheme, procs, w)
-            }));
+            let cfg = base.clone().scheme(scheme).build();
+            jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w)));
         }
     }
     let mut cells = unwrap_cells(pool.scatter_indexed(jobs)).into_iter();
@@ -188,78 +244,116 @@ pub fn table1_rows() -> [(&'static str, &'static str, &'static str, &'static str
     ]
 }
 
-/// Table 1 as a JSON document.
-pub fn table1_json() -> String {
-    let mut j = tlr_sim::json::JsonBuf::new();
-    j.obj();
-    j.str_field("title", "Table 1: Benchmarks");
-    j.arr_key("rows");
-    for (app, sim, cs, kernel) in table1_rows() {
-        j.obj();
-        j.str_field("application", app);
-        j.str_field("simulation", sim);
-        j.str_field("critical_sections", cs);
-        j.str_field("kernel", kernel);
-        j.end_obj();
+/// Table 1: the benchmark inventory, paper column next to this
+/// reproduction's kernel.
+pub struct Table1;
+
+impl Report for Table1 {
+    fn print(&self) {
+        println!("Table 1: Benchmarks (paper column -> this reproduction's kernel)");
+        println!(
+            "{:<12} {:<22} {:<34} {:<40}",
+            "Application", "Type of simulation", "Type of critical sections", "Kernel substitution"
+        );
+        for (app, sim, cs, kernel) in table1_rows() {
+            println!("{app:<12} {sim:<22} {cs:<34} {kernel:<40}");
+        }
+        println!();
+        println!("All kernels run the same binary under BASE/SLE/TLR (test&test&set locks)");
+        println!("and an MCS-lock binary under the MCS configuration, as in §5.");
     }
-    j.end_arr();
-    j.end_obj();
-    j.finish()
+
+    fn json(&self) -> String {
+        let mut j = tlr_sim::json::JsonBuf::new();
+        j.obj();
+        j.str_field("title", "Table 1: Benchmarks");
+        j.arr_key("rows");
+        for (app, sim, cs, kernel) in table1_rows() {
+            j.obj();
+            j.str_field("application", app);
+            j.str_field("simulation", sim);
+            j.str_field("critical_sections", cs);
+            j.str_field("kernel", kernel);
+            j.end_obj();
+        }
+        j.end_arr();
+        j.end_obj();
+        j.finish()
+    }
 }
 
-/// Table 2 rows: (parameter, this reproduction's value, paper value).
-pub fn table2_rows() -> Vec<(&'static str, String, &'static str)> {
-    let cfg = MachineConfig::paper_default(Scheme::Tlr, 16);
-    vec![
-        ("processors", cfg.num_procs.to_string(), "16 (CMP, snooping L1s)"),
-        ("core model", "in-order, 1 op/cycle, 64-entry store buffer".into(),
-         "8-wide OoO, 128-entry ROB (see DESIGN.md substitution)"),
-        ("L1 data cache", format!("{} KB, {}-way, {} B lines",
-            cfg.l1_sets * cfg.l1_ways * 64 / 1024, cfg.l1_ways, cfg.line_bytes()),
-         "128 KB, 4-way, 64 B lines, 1-cycle"),
-        ("L1 hit latency", format!("{} cycle", cfg.latency.l1_hit), "1 cycle"),
-        ("write buffer", format!("{} lines (speculative)", cfg.write_buffer_lines),
-         "64 entries, 64 B wide"),
-        ("victim cache", format!("{} entries", cfg.victim_entries), "16 (stability discussion)"),
-        ("MSHRs", format!("{}", cfg.mshrs), "16 pending misses"),
-        ("SLE predictor", format!("{} entries", cfg.sle_predictor_entries),
-         "64-entry silent store-pair predictor"),
-        ("elision depth", format!("{}", cfg.max_elision_depth), "8 store-pair elisions"),
-        ("RMW predictor", format!("{} entries, enabled={}", cfg.rmw_predictor_entries,
-            cfg.rmw_predictor_enabled),
-         "128-entry PC-indexed, all experiments"),
-        ("coherence", "MOESI broadcast snooping, split transaction".into(),
-         "Sun Gigaplane-type MOESI"),
-        ("snoop latency", format!("{} cycles", cfg.latency.snoop), "20 cycles"),
-        ("data network", format!("{} cycles, point-to-point", cfg.latency.data_network),
-         "20 cycles, pipelined"),
-        ("L2 cache", format!("{} MB, {}-way, {}-cycle",
-            cfg.l2_sets * cfg.l2_ways * 64 / (1024 * 1024), cfg.l2_ways, cfg.latency.l2),
-         "4 MB, 12-cycle"),
-        ("memory", format!("{} cycles", cfg.latency.memory), "70 cycles"),
-        ("synchronization", "load-linked/store-conditional".into(), "LL/SC"),
-        ("memory model", "TSO (store buffer + fences)".into(), "TSO, aggressive"),
-        ("timestamps", format!("{}-bit wrapping logical clock + node id", cfg.timestamp_bits),
-         "logical clock + processor id (§2.1.2)"),
-    ]
+/// Table 2: the simulated machine's parameters next to the paper's.
+pub struct Table2 {
+    /// (parameter, this reproduction's value, paper value).
+    pub rows: Vec<(&'static str, String, &'static str)>,
 }
 
-/// Table 2 as a JSON document.
-pub fn table2_json() -> String {
-    let mut j = tlr_sim::json::JsonBuf::new();
-    j.obj();
-    j.str_field("title", "Table 2: simulated machine parameters");
-    j.arr_key("rows");
-    for (k, v, p) in &table2_rows() {
-        j.obj();
-        j.str_field("parameter", k);
-        j.str_field("reproduction", v);
-        j.str_field("paper", p);
-        j.end_obj();
+/// Table 2 for the 16-processor TLR machine the invocation's base
+/// describes.
+pub fn table2(opts: &Args) -> Table2 {
+    let cfg = opts.base().scheme(Scheme::Tlr).procs(16).build();
+    Table2 {
+        rows: vec![
+            ("processors", cfg.num_procs.to_string(), "16 (CMP, snooping L1s)"),
+            ("core model", "in-order, 1 op/cycle, 64-entry store buffer".into(),
+             "8-wide OoO, 128-entry ROB (see DESIGN.md substitution)"),
+            ("L1 data cache", format!("{} KB, {}-way, {} B lines",
+                cfg.l1_sets * cfg.l1_ways * 64 / 1024, cfg.l1_ways, cfg.line_bytes()),
+             "128 KB, 4-way, 64 B lines, 1-cycle"),
+            ("L1 hit latency", format!("{} cycle", cfg.latency.l1_hit), "1 cycle"),
+            ("write buffer", format!("{} lines (speculative)", cfg.write_buffer_lines),
+             "64 entries, 64 B wide"),
+            ("victim cache", format!("{} entries", cfg.victim_entries), "16 (stability discussion)"),
+            ("MSHRs", format!("{}", cfg.mshrs), "16 pending misses"),
+            ("SLE predictor", format!("{} entries", cfg.sle_predictor_entries),
+             "64-entry silent store-pair predictor"),
+            ("elision depth", format!("{}", cfg.max_elision_depth), "8 store-pair elisions"),
+            ("RMW predictor", format!("{} entries, enabled={}", cfg.rmw_predictor_entries,
+                cfg.rmw_predictor_enabled),
+             "128-entry PC-indexed, all experiments"),
+            ("coherence", "MOESI broadcast snooping, split transaction".into(),
+             "Sun Gigaplane-type MOESI"),
+            ("snoop latency", format!("{} cycles", cfg.latency.snoop), "20 cycles"),
+            ("data network", format!("{} cycles, point-to-point", cfg.latency.data_network),
+             "20 cycles, pipelined"),
+            ("L2 cache", format!("{} MB, {}-way, {}-cycle",
+                cfg.l2_sets * cfg.l2_ways * 64 / (1024 * 1024), cfg.l2_ways, cfg.latency.l2),
+             "4 MB, 12-cycle"),
+            ("memory", format!("{} cycles", cfg.latency.memory), "70 cycles"),
+            ("synchronization", "load-linked/store-conditional".into(), "LL/SC"),
+            ("memory model", "TSO (store buffer + fences)".into(), "TSO, aggressive"),
+            ("timestamps", format!("{}-bit wrapping logical clock + node id", cfg.timestamp_bits),
+             "logical clock + processor id (§2.1.2)"),
+        ],
     }
-    j.end_arr();
-    j.end_obj();
-    j.finish()
+}
+
+impl Report for Table2 {
+    fn print(&self) {
+        println!("Table 2: simulated machine parameters (this reproduction)");
+        let (h1, h2, h3) = ("parameter", "this reproduction", "paper");
+        println!("{h1:<18} {h2:<48} {h3}");
+        for (k, v, p) in &self.rows {
+            println!("{k:<18} {v:<48} {p}");
+        }
+    }
+
+    fn json(&self) -> String {
+        let mut j = tlr_sim::json::JsonBuf::new();
+        j.obj();
+        j.str_field("title", "Table 2: simulated machine parameters");
+        j.arr_key("rows");
+        for (k, v, p) in &self.rows {
+            j.obj();
+            j.str_field("parameter", k);
+            j.str_field("reproduction", v);
+            j.str_field("paper", p);
+            j.end_obj();
+        }
+        j.end_arr();
+        j.end_obj();
+        j.finish()
+    }
 }
 
 /// §6.3 coarse-vs-fine granularity experiment results. `configs`
@@ -295,9 +389,34 @@ impl CoarseFine {
     pub fn base_coarse_over_base_fine(&self) -> f64 {
         speedup(self.report(3), self.report(0))
     }
+}
 
-    /// The experiment as a JSON document.
-    pub fn json(&self) -> String {
+impl Report for CoarseFine {
+    fn print(&self) {
+        println!(
+            "Coarse vs fine grain (mp3d kernel), {} processors, {} moves/proc, {} cells",
+            self.procs, self.iters, self.cells
+        );
+        println!("{:<28} {:>14}", "configuration", "cycles");
+        for (name, r) in &self.configs {
+            println!("{:<28} {:>14}", name, r.stats.parallel_cycles);
+        }
+        println!();
+        println!(
+            "speedup TLR+coarse over BASE+fine: {:.2}   (paper: 2.40)",
+            self.tlr_coarse_over_base_fine()
+        );
+        println!(
+            "speedup TLR+coarse over TLR+fine:  {:.2}   (paper: 1.70)",
+            self.tlr_coarse_over_tlr_fine()
+        );
+        println!(
+            "coarse lock under BASE degrades:   {:.2}x slower than BASE+fine",
+            1.0 / self.base_coarse_over_base_fine()
+        );
+    }
+
+    fn json(&self) -> String {
         let mut j = tlr_sim::json::JsonBuf::new();
         j.obj();
         j.str_field("title", "Coarse vs fine grain (mp3d kernel)");
@@ -321,7 +440,7 @@ impl CoarseFine {
 }
 
 /// §6.3 coarse-grain vs fine-grain experiment (mp3d kernel).
-pub fn coarse_fine(opts: &BenchOpts, pool: &Pool) -> CoarseFine {
+pub fn coarse_fine(opts: &Args, pool: &Pool) -> CoarseFine {
     let procs = *opts.procs.last().unwrap_or(&16);
     let iters = opts.scale(1024);
     let cells = 4096;
@@ -335,10 +454,12 @@ pub fn coarse_fine(opts: &BenchOpts, pool: &Pool) -> CoarseFine {
         ("MCS   + one coarse lock", Scheme::Mcs, &coarse),
         ("TLR   + one coarse lock", Scheme::Tlr, &coarse),
     ];
+    let base = opts.base().procs(procs);
     let jobs = plan
         .iter()
         .map(|&(_, scheme, w)| {
-            Job::new(cell_coords(w.name(), scheme, procs), move |_| run_cell(scheme, procs, w))
+            let cfg = base.clone().scheme(scheme).build();
+            Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w))
         })
         .collect();
     let reports = unwrap_cells(pool.scatter_indexed(jobs));
@@ -368,9 +489,26 @@ pub struct RmwPredictor {
     pub rows: Vec<RmwRow>,
 }
 
-impl RmwPredictor {
-    /// The experiment as a JSON document.
-    pub fn json(&self) -> String {
+impl Report for RmwPredictor {
+    fn print(&self) {
+        println!(
+            "Read-modify-write predictor effect on BASE, {} processors, scale {}",
+            self.procs, self.scale
+        );
+        println!("{:<12} {:>16} {:>16} {:>10} {:>8}", "app", "BASE-no-opt", "BASE", "speedup", "paper");
+        for row in &self.rows {
+            println!(
+                "{:<12} {:>16} {:>16} {:>10.2} {:>8.2}",
+                row.app,
+                row.base_no_opt_cycles,
+                row.base_cycles,
+                row.base_no_opt_cycles as f64 / row.base_cycles as f64,
+                row.paper_speedup,
+            );
+        }
+    }
+
+    fn json(&self) -> String {
         let mut j = tlr_sim::json::JsonBuf::new();
         j.obj();
         j.str_field("title", "RMW predictor effect on BASE");
@@ -396,22 +534,18 @@ pub const RMW_PAPER_SPEEDUPS: [f64; 7] = [1.00, 1.04, 1.28, 1.05, 1.04, 1.33, 1.
 
 /// §6.3 read-modify-write prediction experiment: BASE with and
 /// without the predictor, across the Figure 11 suite.
-pub fn rmw_predictor(opts: &BenchOpts, pool: &Pool) -> RmwPredictor {
+pub fn rmw_predictor(opts: &Args, pool: &Pool) -> RmwPredictor {
     let procs = *opts.procs.last().unwrap_or(&16);
     let scale = opts.scale(512);
     let apps = figure11_apps(procs, scale);
+    let base = opts.base().scheme(Scheme::Base).procs(procs).build();
     let mut jobs = Vec::with_capacity(apps.len() * 2);
     for w in &apps {
         for enabled in [false, true] {
             let w = w.as_ref();
-            jobs.push(Job::new(cell_coords(w.name(), Scheme::Base, procs), move |_| {
-                let mut cfg = MachineConfig::paper_default(Scheme::Base, procs);
-                cfg.rmw_predictor_enabled = enabled;
-                cfg.max_cycles = 60_000_000_000;
-                let r = run_workload(&cfg, w);
-                r.assert_valid();
-                r
-            }));
+            let mut cfg = base.clone();
+            cfg.rmw_predictor_enabled = enabled;
+            jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w)));
         }
     }
     let mut cells = unwrap_cells(pool.scatter_indexed(jobs)).into_iter();
@@ -453,9 +587,50 @@ pub struct Ablations {
     pub retention: Vec<(&'static str, u64, u64, u64, u64)>,
 }
 
-impl Ablations {
-    /// The experiment as a JSON document.
-    pub fn json(&self) -> String {
+impl Report for Ablations {
+    fn print(&self) {
+        println!("TLR design-parameter ablations, {} processors\n", self.procs);
+
+        println!("deferred-queue capacity (single-counter, {} increments):", self.total);
+        println!("{:>10} {:>12} {:>10} {:>10}", "entries", "cycles", "restarts", "deferrals");
+        for (entries, cycles, restarts, deferrals) in &self.deferred_queue {
+            println!("{entries:>10} {cycles:>12} {restarts:>10} {deferrals:>10}");
+        }
+
+        println!("\nvictim-cache entries (doubly-linked list, {} pairs):", self.pairs);
+        println!("{:>10} {:>12} {:>10} {:>10}", "entries", "cycles", "restarts", "fallbacks");
+        for (entries, cycles, restarts, fallbacks) in &self.victim_cache {
+            println!("{entries:>10} {cycles:>12} {restarts:>10} {fallbacks:>10}");
+        }
+
+        println!("\nwrite-buffer lines (doubly-linked list, {} pairs):", self.pairs);
+        println!("{:>10} {:>12} {:>10} {:>10}", "lines", "cycles", "restarts", "fallbacks");
+        for (lines, cycles, restarts, fallbacks) in &self.write_buffer {
+            println!("{lines:>10} {cycles:>12} {restarts:>10} {fallbacks:>10}");
+        }
+
+        println!(
+            "\ntimestamp width in bits (single-counter, {} increments; §2.1.2 rollover):",
+            self.total
+        );
+        println!("{:>10} {:>12} {:>10}", "bits", "cycles", "restarts");
+        for (bits, cycles, restarts) in &self.timestamp_bits {
+            println!("{bits:>10} {cycles:>12} {restarts:>10}");
+        }
+
+        println!(
+            "\nretention policy (single-counter, {} increments; §3 deferral vs NACK):",
+            self.total
+        );
+        println!("{:>10} {:>12} {:>10} {:>10} {:>10}", "policy", "cycles", "deferrals", "nacks", "bus txns");
+        for (name, cycles, deferrals, nacks, bus) in &self.retention {
+            println!("{name:>10} {cycles:>12} {deferrals:>10} {nacks:>10} {bus:>10}");
+        }
+
+        println!("\nEvery configuration validated: resources shape performance, never correctness.");
+    }
+
+    fn json(&self) -> String {
         let mut j = tlr_sim::json::JsonBuf::new();
         j.obj();
         j.str_field("title", "TLR design-parameter ablations");
@@ -512,67 +687,40 @@ pub const ABLATION_TS_BITS: [u32; 4] = [6, 8, 16, 32];
 
 /// §3.3 design-parameter ablations: all 19 cells fanned out in one
 /// scatter, decomposed into per-knob rows in submission order.
-pub fn ablations(opts: &BenchOpts, pool: &Pool) -> Ablations {
+pub fn ablations(opts: &Args, pool: &Pool) -> Ablations {
     let procs = *opts.procs.last().unwrap_or(&8);
     let total = opts.scale(2048);
     let pairs = opts.scale(1024);
-    let base_cfg = move || {
-        let mut c = MachineConfig::paper_default(Scheme::Tlr, procs);
-        c.max_cycles = 60_000_000_000;
-        c
+    let tlr = opts.base().scheme(Scheme::Tlr).procs(procs).build();
+    let with = |knob: &dyn Fn(&mut MachineConfig)| {
+        let mut cfg = tlr.clone();
+        knob(&mut cfg);
+        cfg
     };
+    let counter = single_counter(procs, total);
+    let deque = doubly_linked_list(procs, pairs);
 
-    enum Knob {
-        Dq(usize),
-        Vc(usize),
-        Wb(usize),
-        Ts(u32),
-        Ret(RetentionPolicy),
+    // One cell per knob setting, in the row order decoded below.
+    let mut plan: Vec<(MachineConfig, &dyn WorkloadSpec)> = Vec::new();
+    for e in ABLATION_DQ_ENTRIES {
+        plan.push((with(&|c| c.deferred_queue_entries = e), &counter));
     }
-    let mut plan: Vec<Knob> = Vec::new();
-    plan.extend(ABLATION_DQ_ENTRIES.iter().map(|&e| Knob::Dq(e)));
-    plan.extend(ABLATION_VC_ENTRIES.iter().map(|&e| Knob::Vc(e)));
-    plan.extend(ABLATION_WB_LINES.iter().map(|&l| Knob::Wb(l)));
-    plan.extend(ABLATION_TS_BITS.iter().map(|&b| Knob::Ts(b)));
-    plan.push(Knob::Ret(RetentionPolicy::Deferral));
-    plan.push(Knob::Ret(RetentionPolicy::Nack));
+    for e in ABLATION_VC_ENTRIES {
+        plan.push((with(&|c| c.victim_entries = e), &deque));
+    }
+    for l in ABLATION_WB_LINES {
+        plan.push((with(&|c| c.write_buffer_lines = l), &deque));
+    }
+    for b in ABLATION_TS_BITS {
+        plan.push((with(&|c| c.timestamp_bits = b), &counter));
+    }
+    for retention in [RetentionPolicy::Deferral, RetentionPolicy::Nack] {
+        plan.push((with(&|c| c.retention = retention), &counter));
+    }
 
     let jobs = plan
         .iter()
-        .map(|knob| {
-            let (workload_name, job): (&str, Box<dyn FnOnce() -> RunReport + Send>) = match *knob {
-                Knob::Dq(entries) => ("single_counter", Box::new(move || {
-                    let mut cfg = base_cfg();
-                    cfg.deferred_queue_entries = entries;
-                    run_workload(&cfg, &single_counter(procs, total))
-                })),
-                Knob::Vc(entries) => ("linked_list", Box::new(move || {
-                    let mut cfg = base_cfg();
-                    cfg.victim_entries = entries;
-                    run_workload(&cfg, &doubly_linked_list(procs, pairs))
-                })),
-                Knob::Wb(lines) => ("linked_list", Box::new(move || {
-                    let mut cfg = base_cfg();
-                    cfg.write_buffer_lines = lines;
-                    run_workload(&cfg, &doubly_linked_list(procs, pairs))
-                })),
-                Knob::Ts(bits) => ("single_counter", Box::new(move || {
-                    let mut cfg = base_cfg();
-                    cfg.timestamp_bits = bits;
-                    run_workload(&cfg, &single_counter(procs, total))
-                })),
-                Knob::Ret(policy) => ("single_counter", Box::new(move || {
-                    let mut cfg = base_cfg();
-                    cfg.retention = policy;
-                    run_workload(&cfg, &single_counter(procs, total))
-                })),
-            };
-            Job::new(cell_coords(workload_name, Scheme::Tlr, procs), move |_| {
-                let r = job();
-                r.assert_valid();
-                r
-            })
-        })
+        .map(|(cfg, w)| Job::new(cell_coords(w.name(), cfg), move |_| run_cell(cfg, *w)))
         .collect();
     let mut cells = unwrap_cells(pool.scatter_indexed(jobs)).into_iter();
     let mut next = || cells.next().expect("one report per planned cell");
@@ -628,18 +776,12 @@ pub const SCALABILITY_SCHEMES: [Scheme; 3] = [Scheme::Base, Scheme::Sle, Scheme:
 /// vectors carry 256). One row per processor count, BASE/SLE/TLR
 /// columns, same shape as the Figure 8-10 sweeps so all the series
 /// tooling (CSV, JSON, `--profile` saturation columns) applies.
-pub fn scalability(opts: &BenchOpts, pool: &Pool) -> SeriesSweep {
+pub fn scalability(opts: &Args, pool: &Pool) -> SeriesSweep {
     let total = opts.scale(1 << 14);
     let schemes = SCALABILITY_SCHEMES.to_vec();
-    let rows = crate::sweep_series_on(
-        pool,
-        "multiple_counter",
-        opts.interconnect,
-        &schemes,
-        &opts.procs,
-        opts.seeds,
-        |procs| multiple_counter(procs, total),
-    );
+    let rows = crate::sweep_series(opts, pool, "multiple_counter", &schemes, |procs| {
+        multiple_counter(procs, total)
+    });
     SeriesSweep {
         display_title: format!(
             "Scalability: multiple-counter on the {} interconnect, {total} total increments \
@@ -674,9 +816,8 @@ pub struct Robustness {
     pub rows: Vec<(u32, Vec<RunReport>)>,
 }
 
-impl Robustness {
-    /// The experiment as a JSON document.
-    pub fn json(&self) -> String {
+impl Report for Robustness {
+    fn json(&self) -> String {
         let mut j = tlr_sim::json::JsonBuf::new();
         j.obj();
         j.str_field("title", "Degradation under injected faults");
@@ -726,7 +867,7 @@ impl Robustness {
 
     /// Prints the degradation table: cycles per (level, scheme) plus
     /// the injected-fault counts driving each row.
-    pub fn print(&self) {
+    fn print(&self) {
         println!("\n== Degradation under injected faults (single_counter x{}, total {}, fault seed {:#x}) ==",
                  self.procs, self.total, self.fault_seed);
         print!("{:>9}", "intensity");
@@ -768,27 +909,20 @@ impl Robustness {
 /// `exp_robustness`: the counter workload under increasing fault
 /// intensity (level 0 = faults off, the baseline the degradation
 /// curves are read against), all (level, scheme) cells in one scatter.
-pub fn robustness(opts: &BenchOpts, pool: &Pool) -> Robustness {
+pub fn robustness(opts: &Args, pool: &Pool) -> Robustness {
     let procs = if opts.quick { 4 } else { 8 };
     let total = opts.scale(1 << 12);
     let levels: Vec<u32> = (0..=opts.faults.min(tlr_sim::fault::FaultConfig::MAX_INTENSITY)).collect();
 
+    let base = opts.base().procs(procs);
     let mut jobs = Vec::with_capacity(levels.len() * ROBUSTNESS_SCHEMES.len());
     for &level in &levels {
         for scheme in ROBUSTNESS_SCHEMES {
-            let faults = opts.fault_config(level);
-            jobs.push(Job::new(cell_coords("single_counter", scheme, procs), move |_| {
-                let cfg = MachineConfig::builder()
-                    .scheme(scheme)
-                    .procs(procs)
-                    .max_cycles(60_000_000_000)
-                    .faults(faults)
-                    .build();
-                let r = run_workload(&cfg, &single_counter(procs, total));
-                // The chaos layer's contract: faults perturb timing
-                // only, so even the max-intensity cell must validate.
-                r.assert_valid();
-                r
+            let cfg = base.clone().scheme(scheme).faults(opts.fault_config(level)).build();
+            // The chaos layer's contract: faults perturb timing only,
+            // so even the max-intensity cell must validate.
+            jobs.push(Job::new(cell_coords("single_counter", &cfg), move |_| {
+                run_cell(&cfg, &single_counter(procs, total))
             }));
         }
     }
@@ -826,8 +960,10 @@ impl Policies {
         self.policies[best.0]
     }
 
-    /// The experiment as a JSON document.
-    pub fn json(&self) -> String {
+}
+
+impl Report for Policies {
+    fn json(&self) -> String {
         let mut j = tlr_sim::json::JsonBuf::new();
         j.obj();
         j.str_field("title", "Conflict-policy comparison (TLR contention management)");
@@ -865,7 +1001,7 @@ impl Policies {
 
     /// Prints the comparison table: cycles per (regime, policy) and
     /// the per-regime winner.
-    pub fn print(&self) {
+    fn print(&self) {
         println!("\n== Conflict-policy comparison, TLR x{} (cycles, lower is better) ==", self.procs);
         print!("{:>18}", "regime");
         for p in &self.policies {
@@ -916,37 +1052,25 @@ fn policy_regimes(
 /// spectrum, all cells fanned out in one scatter. TLR scheme
 /// throughout — the policies differ only in how conflicts are
 /// adjudicated, so scheme variation would blur the comparison.
-pub fn policies(opts: &BenchOpts, pool: &Pool) -> Policies {
+pub fn policies(opts: &Args, pool: &Pool) -> Policies {
     let procs = *opts.procs.last().unwrap_or(&8);
     let total = opts.scale(1 << 12);
     let pairs = opts.scale(512);
     let regimes = policy_regimes(procs, total, pairs);
     let kinds = PolicyKind::ALL.to_vec();
+    // Tighter than the sweep-wide budget: a livelocking policy keeps
+    // the machine busy every cycle, so the budget must be reachable in
+    // wall clock for the cell to fail instead of hanging. Legitimate
+    // cells finish thousands of times below this.
+    let base = opts.base().scheme(Scheme::Tlr).procs(procs).max_cycles(200_000_000);
     let mut jobs = Vec::with_capacity(regimes.len() * kinds.len());
     for (_, w) in &regimes {
         for &kind in &kinds {
             let w = w.as_ref();
-            let interconnect = opts.interconnect;
-            jobs.push(Job::new(cell_coords(w.name(), Scheme::Tlr, procs), move |_| {
-                let cfg = MachineConfig::builder()
-                    .scheme(Scheme::Tlr)
-                    .procs(procs)
-                    .interconnect(interconnect)
-                    .policy(kind)
-                    // Tighter than the sweep-wide 60G convention: a
-                    // livelocking policy keeps the machine busy every
-                    // cycle, so the budget must be reachable in wall
-                    // clock for the cell to fail instead of hanging.
-                    // Legitimate cells finish thousands of times
-                    // below this.
-                    .max_cycles(200_000_000)
-                    .build();
-                let r = run_workload(&cfg, w);
-                // Every policy must stay correct; only performance may
-                // differ.
-                r.assert_valid();
-                r
-            }));
+            let cfg = base.clone().policy(kind).build();
+            // Every policy must stay correct; only performance may
+            // differ.
+            jobs.push(Job::new(cell_coords(w.name(), &cfg), move |_| run_cell(&cfg, w)));
         }
     }
     let mut cells = unwrap_cells(pool.scatter_indexed(jobs)).into_iter();
@@ -963,8 +1087,8 @@ pub fn policies(opts: &BenchOpts, pool: &Pool) -> Policies {
 mod tests {
     use super::*;
 
-    fn tiny_opts() -> BenchOpts {
-        BenchOpts { procs: vec![1, 2], quick: true, ..Default::default() }
+    fn tiny_opts() -> Args {
+        Args { procs: vec![1, 2], quick: true, ..Default::default() }
     }
 
     #[test]
@@ -978,7 +1102,7 @@ mod tests {
 
     #[test]
     fn robustness_levels_start_fault_free_and_serialize() {
-        let o = BenchOpts { quick: true, faults: 1, ..Default::default() };
+        let o = Args { quick: true, faults: 1, ..Default::default() };
         let r = robustness(&o, &Pool::serial());
         assert_eq!(r.rows.len(), 2, "levels 0..=1");
         assert_eq!(r.rows[0].0, 0);
@@ -990,14 +1114,14 @@ mod tests {
 
     #[test]
     fn table_documents_are_valid_json() {
-        tlr_sim::json::validate(&table1_json()).expect("table1");
-        tlr_sim::json::validate(&table2_json()).expect("table2");
+        tlr_sim::json::validate(&Table1.json()).expect("table1");
+        tlr_sim::json::validate(&table2(&Args::default()).json()).expect("table2");
         assert_eq!(table1_rows().len(), 7);
     }
 
     #[test]
     fn scalability_runs_on_the_directory_past_the_bus_limit() {
-        let o = BenchOpts {
+        let o = Args {
             procs: vec![4, 32],
             interconnect: tlr_sim::config::Interconnect::Directory,
             quick: true,

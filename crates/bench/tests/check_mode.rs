@@ -12,73 +12,20 @@
 //! the parallel fan-out path.
 
 use tlr_bench::checks;
+use tlr_bench::cli::Args;
+use tlr_bench::experiments::EXPERIMENTS;
 use tlr_sim::pool::Pool;
 
-fn pool() -> Pool {
-    Pool::from_env()
-}
-
 #[test]
-fn fig08_shape_holds() {
-    checks::fig08(&pool()).unwrap();
-}
-
-#[test]
-fn fig09_shape_holds() {
-    checks::fig09(&pool()).unwrap();
-}
-
-#[test]
-fn fig10_shape_holds() {
-    checks::fig10(&pool()).unwrap();
-}
-
-#[test]
-fn fig11_shape_holds() {
-    checks::fig11(&pool()).unwrap();
-}
-
-#[test]
-fn table1_schema_holds() {
-    checks::table1(&pool()).unwrap();
-}
-
-#[test]
-fn table2_schema_holds() {
-    checks::table2(&pool()).unwrap();
-}
-
-#[test]
-fn exp_coarse_fine_shape_holds() {
-    checks::exp_coarse_fine(&pool()).unwrap();
-}
-
-#[test]
-fn exp_rmw_predictor_shape_holds() {
-    checks::exp_rmw_predictor(&pool()).unwrap();
-}
-
-#[test]
-fn exp_ablations_never_break_correctness() {
-    checks::exp_ablations(&pool()).unwrap();
-}
-
-#[test]
-fn exp_robustness_chaos_never_breaks_correctness() {
-    checks::exp_robustness(&pool()).unwrap();
-}
-
-#[test]
-fn exp_scalability_shape_holds() {
-    checks::exp_scalability(&pool()).unwrap();
+fn every_experiment_shape_holds() {
+    let pool = Pool::from_env();
+    for exp in &EXPERIMENTS {
+        let opts = (exp.defaults)();
+        (exp.check)(&opts.base(), &pool).unwrap_or_else(|e| panic!("{}: {e}", exp.name));
+    }
 }
 
 #[test]
 fn profile_smoke_holds() {
-    checks::profile(&pool()).unwrap();
-}
-
-#[test]
-fn exp_policies_shape_holds() {
-    checks::exp_policies(&pool()).unwrap();
+    checks::profile(&Args::default().base(), &Pool::from_env()).unwrap();
 }

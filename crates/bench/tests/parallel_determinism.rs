@@ -7,100 +7,37 @@
 //! single output byte. The tests run at `--quick` scale with two
 //! perturbation seeds so the seeded-averaging path is exercised too.
 
-use tlr_bench::{sweeps, BenchOpts};
+use tlr_bench::experiments::EXPERIMENTS;
+use tlr_bench::sweeps::{self, Report};
+use tlr_bench::cli::Args;
+use tlr_sim::config::Interconnect;
 use tlr_sim::pool::Pool;
 
-fn opts(procs: Vec<usize>) -> BenchOpts {
-    BenchOpts { procs, quick: true, seeds: 2, ..Default::default() }
-}
-
-/// Renders one entry point's JSON under a serial and a 4-worker pool
-/// and demands byte equality.
-fn assert_identical(name: &str, render: impl Fn(&Pool) -> String) {
-    let serial = render(&Pool::new(1));
-    let parallel = render(&Pool::new(4));
-    assert_eq!(
-        serial, parallel,
-        "{name}: jobs=4 output must be byte-identical to jobs=1"
-    );
-    tlr_sim::json::validate(&serial).unwrap_or_else(|e| panic!("{name}: invalid JSON: {e}"));
-}
-
 #[test]
-fn fig08_is_parallel_deterministic() {
-    assert_identical("fig08", |pool| sweeps::fig08(&opts(vec![1, 2]), pool).json());
-}
-
-#[test]
-fn fig09_is_parallel_deterministic() {
-    assert_identical("fig09", |pool| sweeps::fig09(&opts(vec![1, 2]), pool).json());
-}
-
-#[test]
-fn fig10_is_parallel_deterministic() {
-    assert_identical("fig10", |pool| sweeps::fig10(&opts(vec![1, 2]), pool).json());
-}
-
-#[test]
-fn fig11_is_parallel_deterministic() {
-    assert_identical("fig11", |pool| sweeps::fig11(&opts(vec![2]), pool).json());
-}
-
-#[test]
-fn table1_is_parallel_deterministic() {
-    // Static data — the entry point must not depend on any pool state.
-    assert_identical("table1", |_pool| sweeps::table1_json());
-}
-
-#[test]
-fn table2_is_parallel_deterministic() {
-    assert_identical("table2", |_pool| sweeps::table2_json());
-}
-
-#[test]
-fn exp_coarse_fine_is_parallel_deterministic() {
-    assert_identical("exp_coarse_fine", |pool| sweeps::coarse_fine(&opts(vec![2]), pool).json());
-}
-
-#[test]
-fn exp_rmw_predictor_is_parallel_deterministic() {
-    assert_identical("exp_rmw_predictor", |pool| {
-        sweeps::rmw_predictor(&opts(vec![2]), pool).json()
-    });
-}
-
-#[test]
-fn exp_ablations_is_parallel_deterministic() {
-    assert_identical("exp_ablations", |pool| sweeps::ablations(&opts(vec![2]), pool).json());
-}
-
-#[test]
-fn exp_robustness_is_parallel_deterministic() {
-    let o = BenchOpts { quick: true, faults: 2, ..Default::default() };
-    assert_identical("exp_robustness", |pool| sweeps::robustness(&o, pool).json());
-}
-
-#[test]
-fn exp_scalability_is_parallel_deterministic() {
-    // Past-the-bus-limit cells through the directory's banked ordering
-    // points: bank scheduling must not leak worker-count dependence.
-    let o = BenchOpts {
-        interconnect: tlr_sim::config::Interconnect::Directory,
-        ..opts(vec![8, 32])
-    };
-    assert_identical("exp_scalability", |pool| sweeps::scalability(&o, pool).json());
-}
-
-#[test]
-fn exp_policies_is_parallel_deterministic() {
-    assert_identical("exp_policies", |pool| sweeps::policies(&opts(vec![2]), pool).json());
+fn every_experiment_is_parallel_deterministic() {
+    for exp in &EXPERIMENTS {
+        let defaults = (exp.defaults)();
+        // Bus-sized sweeps run at 1 and 2 processors; an experiment
+        // that defaults to the directory runs past the bus limit, so
+        // bank scheduling must not leak worker-count dependence.
+        let procs = match defaults.interconnect {
+            Interconnect::Snooping => vec![1, 2],
+            Interconnect::Directory => vec![8, 32],
+        };
+        let opts = Args { procs, quick: true, seeds: 2, faults: 2, ..defaults };
+        let serial = (exp.run)(&opts, &Pool::new(1)).json();
+        let parallel = (exp.run)(&opts, &Pool::new(4)).json();
+        let name = exp.name;
+        assert_eq!(serial, parallel, "{name}: jobs=4 output must be byte-identical to jobs=1");
+        tlr_sim::json::validate(&serial).unwrap_or_else(|e| panic!("{name}: invalid JSON: {e}"));
+    }
 }
 
 #[test]
 fn chaos_cells_reproduce_for_a_fixed_fault_seed() {
     // Same (config, fault seed) must yield byte-identical results
     // run-to-run, not just across worker counts.
-    let o = BenchOpts { quick: true, faults: 1, fault_seed: 0xfeed_f00d, ..Default::default() };
+    let o = Args { quick: true, faults: 1, fault_seed: 0xfeed_f00d, ..Default::default() };
     let pool = Pool::new(4);
     let a = sweeps::robustness(&o, &pool).json();
     let b = sweeps::robustness(&o, &pool).json();

@@ -58,6 +58,14 @@ pub struct PreemptionReport {
 /// `p.quantum` cycles the next processor (skipping finished threads)
 /// is de-scheduled for `p.pause` cycles.
 ///
+/// A thread resumed at a cycle is never the victim picked at that same
+/// cycle. With `pause >= quantum` a resume always coincides with a due
+/// preemption, and when the resumed thread is the last unfinished one
+/// it would otherwise be descheduled again before running a cycle,
+/// forever. The quantum is not restarted at the resume, so runs with
+/// `pause < quantum` (where resumes never meet a due preemption) keep
+/// their schedule.
+///
 /// # Errors
 ///
 /// Returns [`SimTimeout`] if the machine exceeds its cycle budget.
@@ -73,17 +81,20 @@ pub fn run_preemptive(machine: &mut Machine, p: Preemption) -> Result<Preemption
             machine.settle_idle_charges();
             return Err(SimTimeout { cycle: machine.cycle() });
         }
+        let mut resumed = None;
         if let Some((victim, resume_at)) = paused {
             if machine.cycle() >= resume_at {
                 machine.reschedule(victim);
                 paused = None;
+                resumed = Some(victim);
             }
         }
         if paused.is_none() && machine.cycle() >= next_preempt {
-            // Pick the next unfinished thread, if any.
+            // Pick the next unfinished thread, if any, other than the
+            // one that just got its processor back.
             let victim = (0..procs)
                 .map(|k| (next_victim + k) % procs)
-                .find(|&v| !machine.is_done(v));
+                .find(|&v| !machine.is_done(v) && Some(v) != resumed);
             if let Some(v) = victim {
                 report.preemptions += 1;
                 if machine.in_txn(v) {

@@ -7,8 +7,6 @@
 //! [`MachineConfig::builder`] offers a fluent surface for everything
 //! else, including the [`crate::fault`] chaos knobs.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-
 use crate::fault::FaultConfig;
 use crate::prof::ProfConfig;
 
@@ -183,146 +181,6 @@ impl std::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// Process-wide configuration defaults, consulted when a configuration
-/// is built.
-///
-/// One registry replaces the three copy-pasted atomics that used to
-/// back `--engine`, `--interconnect` and `--profile`, and `--policy`
-/// rides the same mechanism. The rules are unchanged: a binary's
-/// `main` sets defaults once, before any sweep runs; library code and
-/// tests must never write them (tests run concurrently in one process)
-/// and instead use the [`MachineConfigBuilder`] setters.
-pub struct Defaults {
-    /// `0` = event-driven, `1` = cycle-stepped.
-    engine: AtomicU8,
-    /// `0` = snooping, `1` = directory.
-    interconnect: AtomicU8,
-    /// Whether new configurations profile ([`ProfConfig::on`]).
-    profile: AtomicBool,
-    /// Index into [`PolicyKind::ALL`].
-    policy: AtomicU8,
-}
-
-/// The process-wide [`Defaults`] registry.
-static DEFAULTS: Defaults = Defaults {
-    engine: AtomicU8::new(0),
-    interconnect: AtomicU8::new(0),
-    profile: AtomicBool::new(false),
-    policy: AtomicU8::new(0),
-};
-
-impl Defaults {
-    /// The process-wide registry. Binaries set fields once in `main`;
-    /// everything else only reads.
-    pub fn get() -> &'static Defaults {
-        &DEFAULTS
-    }
-
-    /// Sets the default engine.
-    pub fn set_engine(&self, engine: Engine) {
-        self.engine.store(engine as u8, Ordering::Relaxed);
-    }
-
-    /// The default engine new configurations start from.
-    pub fn engine(&self) -> Engine {
-        match self.engine.load(Ordering::Relaxed) {
-            0 => Engine::EventDriven,
-            _ => Engine::CycleStepped,
-        }
-    }
-
-    /// Sets the default interconnect.
-    pub fn set_interconnect(&self, interconnect: Interconnect) {
-        self.interconnect.store(interconnect as u8, Ordering::Relaxed);
-    }
-
-    /// The default interconnect new configurations start from.
-    pub fn interconnect(&self) -> Interconnect {
-        match self.interconnect.load(Ordering::Relaxed) {
-            0 => Interconnect::Snooping,
-            _ => Interconnect::Directory,
-        }
-    }
-
-    /// Sets the default profiling switch.
-    pub fn set_profile(&self, on: bool) {
-        self.profile.store(on, Ordering::Relaxed);
-    }
-
-    /// The default profiling knobs new configurations start from:
-    /// [`ProfConfig::on`] after `set_profile(true)`, else
-    /// [`ProfConfig::off`].
-    pub fn profile(&self) -> ProfConfig {
-        if self.profile.load(Ordering::Relaxed) {
-            ProfConfig::on()
-        } else {
-            ProfConfig::off()
-        }
-    }
-
-    /// Sets the default conflict policy.
-    pub fn set_policy(&self, policy: PolicyKind) {
-        self.policy.store(policy as u8, Ordering::Relaxed);
-    }
-
-    /// The default conflict policy new configurations start from.
-    pub fn policy(&self) -> PolicyKind {
-        match self.policy.load(Ordering::Relaxed) {
-            1 => PolicyKind::Backoff,
-            2 => PolicyKind::Karma,
-            3 => PolicyKind::LazySub,
-            _ => PolicyKind::Timestamp,
-        }
-    }
-}
-
-/// Sets the process-wide default engine. Call once, from a binary's
-/// `main`, before building any configuration.
-pub fn set_default_engine(engine: Engine) {
-    Defaults::get().set_engine(engine);
-}
-
-/// The process-wide default engine new configurations start from.
-pub fn default_engine() -> Engine {
-    Defaults::get().engine()
-}
-
-/// Sets the process-wide default interconnect. Call once, from a
-/// binary's `main`, before building any configuration.
-pub fn set_default_interconnect(interconnect: Interconnect) {
-    Defaults::get().set_interconnect(interconnect);
-}
-
-/// The process-wide default interconnect new configurations start
-/// from.
-pub fn default_interconnect() -> Interconnect {
-    Defaults::get().interconnect()
-}
-
-/// Sets the process-wide default profiling switch. Call once, from a
-/// binary's `main`, before building any configuration.
-pub fn set_default_profile(on: bool) {
-    Defaults::get().set_profile(on);
-}
-
-/// The process-wide default profiling knobs new configurations start
-/// from.
-pub fn default_profile() -> ProfConfig {
-    Defaults::get().profile()
-}
-
-/// Sets the process-wide default conflict policy. Call once, from a
-/// binary's `main`, before building any configuration.
-pub fn set_default_policy(policy: PolicyKind) {
-    Defaults::get().set_policy(policy);
-}
-
-/// The process-wide default conflict policy new configurations start
-/// from.
-pub fn default_policy() -> PolicyKind {
-    Defaults::get().policy()
 }
 
 /// Which of the paper's four evaluated hardware/software configurations
@@ -561,7 +419,11 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// The paper's Table 2 parameter values, the base every builder
-    /// starts from.
+    /// starts from: the event engine, the snooping bus, the timestamp
+    /// policy and profiling off. These are constants; a caller that
+    /// wants another engine, fabric, policy or profiling states it
+    /// through the builder (the bench binaries do so once, from their
+    /// parsed flags).
     fn table2(scheme: Scheme, num_procs: usize) -> Self {
         MachineConfig {
             num_procs,
@@ -583,8 +445,8 @@ impl MachineConfig {
             timestamp_bits: 32,
             untimestamped_policy: UntimestampedPolicy::default(),
             retention: RetentionPolicy::default(),
-            policy: default_policy(),
-            interconnect: default_interconnect(),
+            policy: PolicyKind::Timestamp,
+            interconnect: Interconnect::Snooping,
             dir_banks: 0,
             req_network: 20,
             latency: LatencyConfig::default(),
@@ -592,8 +454,8 @@ impl MachineConfig {
             seed: 0x7a3d_5eed,
             max_cycles: 2_000_000_000,
             faults: FaultConfig::off(),
-            profile: default_profile(),
-            engine: default_engine(),
+            profile: ProfConfig::off(),
+            engine: Engine::EventDriven,
         }
     }
 
@@ -955,22 +817,10 @@ mod tests {
         assert_eq!(PolicyKind::parse("lazysub"), Ok(PolicyKind::LazySub));
         assert_eq!(PolicyKind::parse("lazy-subscription"), Ok(PolicyKind::LazySub));
         assert!(PolicyKind::parse("polite").is_err());
-        for (i, p) in PolicyKind::ALL.into_iter().enumerate() {
-            assert_eq!(p as u8 as usize, i, "Defaults registry relies on discriminant order");
+        for p in PolicyKind::ALL {
             assert_eq!(PolicyKind::parse(p.label()), Ok(p), "labels must round-trip");
         }
         assert_eq!(PolicyKind::Timestamp.to_string(), "timestamp");
-    }
-
-    #[test]
-    fn defaults_registry_reads_match_the_free_functions() {
-        // Tests never *write* the registry (it is process-global), but
-        // the read paths must agree with the legacy free functions.
-        let d = Defaults::get();
-        assert_eq!(d.engine(), default_engine());
-        assert_eq!(d.interconnect(), default_interconnect());
-        assert_eq!(d.profile(), default_profile());
-        assert_eq!(d.policy(), default_policy());
     }
 
     #[test]

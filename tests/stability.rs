@@ -488,3 +488,34 @@ fn preemptive_scheduling_correct_under_every_scheme() {
         assert!(preempted > 100);
     }
 }
+
+#[test]
+fn pause_longer_than_the_quantum_does_not_starve_the_last_thread() {
+    // With pause >= quantum, every resume lands on a due preemption.
+    // Once one thread is left unfinished, the scheduler must not
+    // deschedule it again at the cycle it got its processor back, or
+    // it never runs and the machine never quiesces.
+    use tlr_repro::core::run::build_machine;
+    use tlr_repro::core::{run_preemptive, Preemption};
+    use tlr_repro::prelude::{single_counter, WorkloadSpec};
+    use tlr_repro::sim::config::{Engine, Interconnect};
+    let procs = 64;
+    let w = single_counter(procs, 256);
+    for engine in [Engine::EventDriven, Engine::CycleStepped] {
+        for scheme in [Scheme::Base, Scheme::Sle, Scheme::Tlr] {
+            let cfg = MachineConfig::builder()
+                .scheme(scheme)
+                .procs(procs)
+                .interconnect(Interconnect::Directory)
+                .engine(engine)
+                // Ten times the slowest cell (BASE, ~200k cycles), so a stalled
+                // run fails fast instead of spinning to the default budget.
+                .max_cycles(2_000_000)
+                .build();
+            let mut m = build_machine(&cfg, &w);
+            run_preemptive(&mut m, Preemption::new(100, 200))
+                .unwrap_or_else(|e| panic!("[{scheme} / {engine:?}] must quiesce: {e}"));
+            w.validate(&m).unwrap_or_else(|e| panic!("[{scheme} / {engine:?}] {e}"));
+        }
+    }
+}
