@@ -40,6 +40,7 @@
 //! assert_eq!(m.final_word(Addr(0x1000)), 42);
 //! ```
 
+mod fabric;
 pub mod machine;
 pub mod node;
 pub mod os;

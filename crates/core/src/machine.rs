@@ -24,7 +24,7 @@
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -35,13 +35,14 @@ use tlr_mem::mshr::{Intervention, MshrEntry};
 use tlr_mem::msg::{BusReqKind, BusRequest, DataGrant, NetMsg};
 use tlr_mem::protocol;
 use tlr_mem::timestamp::{Prio, Timestamp};
-use tlr_mem::{Bus, Directory, MemorySystem, Network, NodeSet};
-use tlr_sim::config::{Engine, Interconnect, MachineConfig, UntimestampedPolicy};
+use tlr_mem::{MemorySystem, Network, NodeSet};
+use tlr_sim::config::{Engine, MachineConfig, UntimestampedPolicy};
 use tlr_sim::fault::FaultPlan;
 use tlr_sim::prof::{EngineProf, Gauges, Profiler, WakeSource};
 use tlr_sim::trace::{Trace, TraceKind};
 use tlr_sim::{Cycle, MachineStats, NodeId, SimRng};
 
+use crate::fabric::Fabric;
 use crate::node::{DeferredReq, Node, PendingWriteback, SnoopEvent, Wait};
 use crate::policy::{policy_for, ConflictPolicy, RetryEnv, RetryPacing};
 use crate::sle::{AbortKind, ElidedLock, Txn};
@@ -70,7 +71,7 @@ impl std::error::Error for SimTimeout {}
 /// simulated addresses, not adversarial input, and nothing iterates
 /// these tables, so no iteration order can leak into the output.
 #[derive(Debug, Default, Clone, Copy)]
-struct WordHasher(u64);
+pub(crate) struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -91,7 +92,7 @@ impl Hasher for WordHasher {
     }
 }
 
-type WordHash = BuildHasherDefault<WordHasher>;
+pub(crate) type WordHash = BuildHasherDefault<WordHasher>;
 
 /// Machine-global context threaded through the controller logic so a
 /// node can be mutated while the shared structures stay reachable.
@@ -100,11 +101,7 @@ struct Ctx<'a> {
     now: Cycle,
     net: &'a mut Network<NetMsg>,
     memsys: &'a mut MemorySystem,
-    bus: &'a mut Bus,
-    /// The home directory, when the machine runs the directory
-    /// interconnect; coherence requests then travel point-to-point to
-    /// their home bank instead of arbitrating for the bus.
-    dir: Option<&'a mut Directory>,
+    fabric: &'a mut Fabric,
     stats: &'a mut MachineStats,
     trace: &'a mut Trace,
     rng: &'a mut SimRng,
@@ -124,17 +121,6 @@ impl Ctx<'_> {
 
     fn ts_bits(&self) -> u32 {
         self.cfg.timestamp_bits
-    }
-
-    /// Routes a coherence request to the machine's ordering fabric:
-    /// bus arbitration on snooping machines, a request flight to the
-    /// home bank on directory machines. The single choke point for
-    /// every request issued by a node.
-    fn send_req(&mut self, node: NodeId, req: BusRequest) {
-        match self.dir.as_deref_mut() {
-            Some(d) => d.send(self.now, req),
-            None => self.bus.enqueue(node, req),
-        }
     }
 
     /// Whether the chaos layer annuls the open transaction at this
@@ -421,19 +407,10 @@ pub struct Machine {
     cfg: MachineConfig,
     cycle: Cycle,
     nodes: Vec<Node>,
-    bus: Bus,
-    /// The banked home directory; `Some` only under
-    /// [`Interconnect::Directory`]. The bus then stays empty for the
-    /// whole run and the directory is the ordering fabric.
-    dir: Option<Directory>,
+    /// The ordering point: the snooping bus or the home directory.
+    fabric: Fabric,
     net: Network<NetMsg>,
     memsys: MemorySystem,
-    /// Protocol-owner ledger: the node last granted exclusive (or
-    /// clean-exclusive) ownership. Absent means memory owns the line.
-    /// In the real broadcast system every snooper derives this from
-    /// the observed request stream; centralizing it changes no
-    /// ordering or timing (see `DESIGN.md`).
-    owner: HashMap<LineAddr, NodeId, WordHash>,
     stats: MachineStats,
     trace: Trace,
     rng: SimRng,
@@ -464,9 +441,8 @@ pub struct Machine {
     woken_set: NodeSet,
     /// Scratch: this cycle's network deliveries (capacity reuse).
     net_scratch: Vec<NetMsg>,
-    /// Scratch: this cycle's directory-ordered requests (capacity
-    /// reuse; empty on snooping machines).
-    dir_scratch: Vec<BusRequest>,
+    /// Scratch: this cycle's ordered requests (capacity reuse).
+    order_scratch: Vec<BusRequest>,
     /// Scratch: the nodes ticking this step or burst (capacity reuse).
     live_scratch: Vec<usize>,
     /// Scratch: the nodes involved in the snoop being processed, each
@@ -515,27 +491,17 @@ impl Machine {
             .map(|(i, p)| Node::new(i, Core::new(p, rng.fork(i as u64)), &cfg))
             .collect::<Vec<_>>();
         let mut stats = MachineStats::new(cfg.num_procs);
-        let mut bus = Bus::new(cfg.num_procs, cfg.latency.bus_occupancy);
-        let mut dir = (cfg.interconnect == Interconnect::Directory).then(|| {
-            let banks = if cfg.dir_banks == 0 { cfg.num_procs } else { cfg.dir_banks };
-            Directory::new(cfg.num_procs, banks, cfg.latency.bus_occupancy, cfg.req_network)
-        });
-        let stats_dir_banks = dir.as_ref().map_or(0, |d| d.banks());
+        let fabric = Fabric::new(&cfg);
+        let dir_banks = fabric.banks();
         // Every node starts `Active`.
         let mut active = NodeSet::new(cfg.num_procs);
         for i in 0..cfg.num_procs {
             active.insert(i);
         }
-        stats.dir.banks = stats_dir_banks as u64;
+        stats.dir.banks = dir_banks as u64;
         let mut net = Network::new();
         if cfg.faults.enabled {
-            bus.set_fault(cfg.faults.bus_fault());
             net.set_fault(cfg.faults.net_fault());
-            if let Some(d) = &mut dir {
-                // The directory's request network gets its own jitter
-                // stream so the data network's draws are untouched.
-                d.set_fault(cfg.faults.net_fault());
-            }
             // Capacity squeezes are static configuration; record what
             // was withheld so degradation curves can report it.
             for i in 0..cfg.num_procs {
@@ -551,11 +517,9 @@ impl Machine {
             }
         }
         Machine {
-            bus,
-            dir,
+            fabric,
             net,
             memsys: MemorySystem::new(cfg.l2_sets, cfg.l2_ways, cfg.latency.l2, cfg.latency.memory),
-            owner: HashMap::default(),
             stats,
             trace: Trace::new(),
             rng,
@@ -571,14 +535,14 @@ impl Machine {
             woken: Vec::new(),
             woken_set: NodeSet::new(cfg.num_procs),
             net_scratch: Vec::new(),
-            dir_scratch: Vec::new(),
+            order_scratch: Vec::new(),
             live_scratch: Vec::new(),
             snoop_touch: Vec::new(),
             quiesce_cursor: Cell::new(0),
             engine: EngineProf::default(),
             prof: cfg.profile.profiler().map(|mut p| {
                 p.bus_occupancy = cfg.latency.bus_occupancy;
-                p.dir_banks = stats_dir_banks;
+                p.dir_banks = dir_banks;
                 p
             }),
             cfg,
@@ -667,10 +631,9 @@ impl Machine {
                 && n.deferred.is_empty()
                 && n.nack_retries.is_empty()
                 && n.txn.is_none()
-        }) && self.bus.pending() == 0
+        }) && self.fabric.pending() == 0
             && self.net.is_empty()
             && self.snoops.is_empty()
-            && self.dir.as_ref().is_none_or(Directory::is_empty)
     }
 
     /// Runs until quiescence.
@@ -753,8 +716,7 @@ impl Machine {
         // bus- or network-saturated phases the next cycle always has
         // machine-level work, so the scan below would be wasted.
         if self.cycle + 1 >= bound
-            || self.bus.pending() > 0
-            || self.dir.as_ref().is_some_and(|d| d.pending() > 0)
+            || self.fabric.pending() > 0
             || self.net.next_ready().is_some_and(|c| c <= self.cycle + 2)
         {
             return;
@@ -789,13 +751,8 @@ impl Machine {
         }
         loop {
             let mut h = horizon;
-            if let Some(c) = self.bus.next_order_cycle(self.cycle) {
+            if let Some((c, _)) = self.fabric.next_order_cycle(self.cycle) {
                 h = h.min(c);
-            }
-            if let Some(d) = &self.dir {
-                if let Some(c) = d.next_order_cycle(self.cycle) {
-                    h = h.min(c);
-                }
             }
             if let Some(c) = self.net.next_ready() {
                 h = h.min(c.max(self.cycle + 1));
@@ -874,13 +831,8 @@ impl Machine {
                 next = Some((c, src));
             }
         };
-        if let Some(c) = self.bus.next_order_cycle(self.cycle) {
-            consider(c, WakeSource::Bus);
-        }
-        if let Some(d) = &self.dir {
-            if let Some(c) = d.next_order_cycle(self.cycle) {
-                consider(c, WakeSource::Directory);
-            }
+        if let Some((c, src)) = self.fabric.next_order_cycle(self.cycle) {
+            consider(c, src);
         }
         if let Some(c) = self.net.next_ready() {
             consider(c, WakeSource::Network);
@@ -970,11 +922,8 @@ impl Machine {
         if self.sched.iter().any(|s| matches!(s, NodeSched::Active)) {
             consider(floor, WakeSource::ActiveFloor);
         }
-        if let Some(c) = self.bus.next_order_cycle(self.cycle) {
-            consider(c, WakeSource::Bus);
-        }
-        if let Some(c) = self.dir.as_ref().and_then(|d| d.next_order_cycle(self.cycle)) {
-            consider(c, WakeSource::Directory);
+        if let Some((c, src)) = self.fabric.next_order_cycle(self.cycle) {
+            consider(c, src);
         }
         if let Some(c) = self.net.next_ready() {
             consider(c, WakeSource::Network);
@@ -1353,15 +1302,7 @@ impl Machine {
         // Fabric fault hooks count injections internally; traced chaos
         // runs surface each step's delta as events at node 0.
         let fault_traced = self.cfg.faults.enabled && self.trace.is_enabled();
-        let (net_before, bus_before) = if fault_traced {
-            (
-                self.net.fault_injections()
-                    + self.dir.as_ref().map_or(0, |d| d.fault_injections()),
-                self.bus.fault_injections(),
-            )
-        } else {
-            (0, 0)
-        };
+        let (net_before, bus_before) = if fault_traced { self.fault_counts() } else { (0, 0) };
         // 1. Order at most one address-bus transaction (or, on
         //    directory machines, up to one request per free home
         //    bank); the ordering point mutates the requester (and the
@@ -1424,6 +1365,9 @@ impl Machine {
                     (i, class)
                 })
             };
+            // A directory request is directed: only its targets see
+            // it. A stale sharer bit (silent clean eviction) among them
+            // names a node that the predicate proves uninvolved.
             match &ev.targets {
                 Some(t) => touch.extend(t.iter().filter_map(involved)),
                 None => touch.extend((0..nodes.len()).filter_map(involved)),
@@ -1488,25 +1432,22 @@ impl Machine {
         }
         self.live_scratch = live;
         if fault_traced {
-            let bus_delta = self.bus.fault_injections() - bus_before;
-            if bus_delta > 0 {
-                self.trace.record(
-                    self.cycle,
-                    0,
-                    TraceKind::FaultInjected { kind: "bus_arbitration", payload: bus_delta },
-                );
-            }
-            let net_delta = self.net.fault_injections()
-                + self.dir.as_ref().map_or(0, |d| d.fault_injections())
-                - net_before;
-            if net_delta > 0 {
-                self.trace.record(
-                    self.cycle,
-                    0,
-                    TraceKind::FaultInjected { kind: "net_delay", payload: net_delta },
-                );
+            let (net_now, bus_now) = self.fault_counts();
+            let deltas = [("bus_arbitration", bus_now - bus_before), ("net_delay", net_now - net_before)];
+            for (kind, payload) in deltas {
+                if payload > 0 {
+                    self.trace.record(self.cycle, 0, TraceKind::FaultInjected { kind, payload });
+                }
             }
         }
+    }
+
+    /// Interconnect faults injected so far: (delayed flights, reordered
+    /// bus arbitration rounds). Directory request-flight jitter rides
+    /// the data network's knob, so both networks count as net delays.
+    fn fault_counts(&self) -> (u64, u64) {
+        let (reorders, request_delays) = self.fabric.fault_injections();
+        (self.net.fault_injections() + request_delays, reorders)
     }
 
     /// Takes one instantaneous reading of the shared structures for
@@ -1523,9 +1464,6 @@ impl Machine {
             }
         }
         Gauges {
-            bus_ordered: self.bus.ordered_count(),
-            dir_ordered: self.dir.as_ref().map_or(0, |d| d.ordered_count()),
-            dir_depth: self.dir.as_ref().map_or(0, |d| d.pending()),
             net_sent: self.net.sent_count(),
             net_depth: self.net.len(),
             snoop_depth: self.snoops.len(),
@@ -1534,6 +1472,7 @@ impl Machine {
             active_nodes: active,
             idle_nodes: idle,
             spin_nodes: spin,
+            ..self.fabric.gauges()
         }
     }
 
@@ -1572,15 +1511,8 @@ impl Machine {
         self.stats.parallel_cycles =
             self.nodes.iter().filter_map(|n| n.done_at).max().unwrap_or(self.cycle);
         self.stats.elapsed_cycles = self.cycle;
-        // Directory request-network jitter rides the same knob as data
-        // network jitter, so both count as net delays.
-        self.stats.faults.net_delays = self.net.fault_injections()
-            + self.dir.as_ref().map_or(0, |d| d.fault_injections());
-        self.stats.faults.bus_reorders = self.bus.fault_injections();
-        if let Some(d) = &self.dir {
-            self.stats.dir.requests_ordered = d.ordered_count();
-            self.stats.dir.requests_sent = d.sent_count();
-        }
+        (self.stats.faults.net_delays, self.stats.faults.bus_reorders) = self.fault_counts();
+        self.fabric.finalize_stats(&mut self.stats);
         // Every started elision must have ended exactly one way; drift
         // here means a counter was forgotten somewhere in this file.
         if self.nodes.iter().all(|n| n.txn.is_none()) {
@@ -1665,8 +1597,7 @@ impl Machine {
             now: self.cycle,
             net: &mut self.net,
             memsys: &mut self.memsys,
-            bus: &mut self.bus,
-            dir: self.dir.as_mut(),
+            fabric: &mut self.fabric,
             stats: &mut self.stats,
             trace: &mut self.trace,
             rng: &mut self.rng,
@@ -1701,20 +1632,16 @@ impl Machine {
     // both schedulers under tlr-perf).
     #[inline(never)]
     fn order_phase(&mut self) {
-        if let Some(d) = self.dir.as_mut() {
-            let mut ordered = std::mem::take(&mut self.dir_scratch);
-            ordered.clear();
-            d.tick_into(self.cycle, &mut ordered);
-            for req in ordered.drain(..) {
-                self.order_request(req);
-            }
-            self.dir_scratch = ordered;
-        } else if let Some(req) = self.bus.tick(self.cycle) {
+        let mut ordered = std::mem::take(&mut self.order_scratch);
+        self.fabric.tick_into(self.cycle, &mut ordered);
+        for req in ordered.drain(..) {
             self.order_request(req);
         }
+        self.order_scratch = ordered;
     }
 
-    /// Handles an address-bus transaction at its ordering point.
+    /// Handles one ordered request at its ordering point (the bus slot
+    /// or its home bank).
     fn order_request(&mut self, req: BusRequest) {
         let now = self.cycle;
         // The ordering point mutates the requester's state (writeback
@@ -1730,14 +1657,7 @@ impl Machine {
                     let p = node.pending_wb.remove(pos);
                     if !p.cancelled {
                         self.memsys.writeback(req.line, p.data);
-                        match self.dir.as_mut() {
-                            Some(d) => d.retire_writeback(req.line, req.requester),
-                            None => {
-                                if self.owner.get(&req.line) == Some(&req.requester) {
-                                    self.owner.remove(&req.line);
-                                }
-                            }
-                        }
+                        self.fabric.retire_writeback(req.line, req.requester);
                     }
                 }
             }
@@ -1747,28 +1667,16 @@ impl Machine {
                 } else {
                     self.stats.bus.get_s += 1;
                 }
-                // The bus ordering point snoops every cache, so the
-                // sharer scan is exact; the directory consults its
-                // (conservatively imprecise) sharer vector instead and
-                // yields the directed target set for the snoop phase.
-                let (supplier, other_sharers, self_owner, targets) = match self.dir.as_ref() {
-                    Some(d) => {
-                        let dec = d.peek_order(&req);
-                        let self_owner = d.owner(req.line) == Some(req.requester);
-                        (dec.supplier, dec.other_sharers, self_owner, Some(dec.targets))
-                    }
-                    None => {
-                        let other_sharers = self.nodes.iter().enumerate().any(|(j, n)| {
-                            j != req.requester && n.line_state(req.line).is_valid()
-                        });
-                        let supplier = match self.owner.get(&req.line) {
-                            Some(&o) if o != req.requester => Some(o),
-                            _ => None,
-                        };
-                        let self_owner = self.owner.get(&req.line) == Some(&req.requester);
-                        (supplier, other_sharers, self_owner, None)
-                    }
-                };
+                // The bus snoops every cache, so its holder scan is
+                // exact; the directory consults its (conservatively
+                // imprecise) sharer vector instead and yields the
+                // directed target set for the snoop phase.
+                let nodes = &self.nodes;
+                let (rule, targets) = self.fabric.decide(&req, || {
+                    let holds = |(j, n): (usize, &Node)| j != req.requester && n.line_state(req.line).is_valid();
+                    nodes.iter().enumerate().any(holds)
+                });
+                let protocol::DirOutcome { supplier, other_sharers, self_owner, .. } = rule;
                 // NACK retention (§3): the owner's refusal is asserted
                 // at the ordering point — the transaction is annulled,
                 // no ownership transfers, every snooper ignores it.
@@ -1792,53 +1700,26 @@ impl Machine {
                         }
                     }
                 }
-                // Ledger update at the ordering point. (A NACKed
-                // request returns above without reaching this, so an
-                // annulled transaction transfers no state in either
-                // fabric.)
-                match self.dir.as_mut() {
-                    Some(d) => d.commit_order(&req),
-                    None => {
-                        if req.kind == BusReqKind::GetX || (supplier.is_none() && !other_sharers) {
-                            self.owner.insert(req.line, req.requester);
-                        }
-                    }
-                }
+                // A NACKed request returned above: an annulled
+                // transaction transfers no ownership.
+                self.fabric.commit(&req, &rule);
                 if supplier.is_none() {
                     // The requester's own un-ordered writeback holds
                     // newer data than memory: serve (and cancel) it.
-                    if let Some(p) = self.nodes[req.requester].pending_wb_mut(req.line) {
-                        p.cancelled = true;
-                        let data = p.data;
-                        let deliver = now + self.cfg.latency.snoop + 1;
-                        self.net.send(
-                            deliver,
-                            NetMsg::Data {
-                                to: req.requester,
-                                line: req.line,
-                                data,
-                                grant: DataGrant::Modified,
-                            },
-                        );
-                        let due = now + self.cfg.latency.snoop;
-                        self.snoops.push_back(SnoopEvent {
-                            due,
-                            order_cycle: now,
-                            req,
-                            supplier: None,
-                            targets,
-                        });
-                        return;
-                    }
-                    // A requester that is itself the ledger owner holds
-                    // a dirty-but-unwritable (Owned) copy: this is an
-                    // upgrade, granted without a data transfer — memory
-                    // may be stale. Its own data rides along so the
-                    // fill path stays uniform.
-                    let self_upgrade = self_owner
-                        .then(|| self.nodes[req.requester].line(req.line).map(|l| l.data))
-                        .flatten();
-                    if let Some(data) = self_upgrade {
+                    // Otherwise a requester that is itself the owner
+                    // holds a dirty-but-unwritable (Owned) copy: this
+                    // is an upgrade, granted without a data transfer —
+                    // memory may be stale. Its own data rides along so
+                    // the fill path stays uniform.
+                    let node = &mut self.nodes[req.requester];
+                    let own_data = match node.pending_wb_mut(req.line) {
+                        Some(p) => {
+                            p.cancelled = true;
+                            Some(p.data)
+                        }
+                        None => self_owner.then(|| node.line(req.line).map(|l| l.data)).flatten(),
+                    };
+                    if let Some(data) = own_data {
                         // One cycle after the requester processes its
                         // own ordering snoop, so the fill records the
                         // correct coherence position.
@@ -1853,24 +1734,8 @@ impl Machine {
                             },
                         );
                     } else {
-                        // Memory-side supply.
-                        let (data, res) = self.memsys.supply(req.line);
-                        if res.l2_hit {
-                            self.stats.l2_supplies += 1;
-                        } else {
-                            self.stats.memory_supplies += 1;
-                        }
-                        let grant = protocol::fill_grant(req.kind, other_sharers, false);
-                        let jitter = self.rng.below(self.cfg.latency_jitter + 1);
-                        let deliver = now
-                            + self.cfg.latency.snoop
-                            + res.latency
-                            + self.cfg.latency.data_network
-                            + jitter;
-                        self.net.send(
-                            deliver,
-                            NetMsg::Data { to: req.requester, line: req.line, data, grant },
-                        );
+                        let after = self.cfg.latency.snoop;
+                        self.with_ctx(|_, ctx| supply_from_memory(ctx, &req, other_sharers, after));
                     }
                 }
                 let due = now + self.cfg.latency.snoop;
@@ -1978,16 +1843,6 @@ fn deliver_one(nodes: &mut [Node], ctx: &mut Ctx, msg: NetMsg) {
 /// change, no stats, no trace, no randomness), so skipping the call
 /// is exact.
 fn node_involved(node: &Node, ev: &SnoopEvent) -> bool {
-    // Directory requests are directed, not broadcast: only the nodes
-    // in the ordering decision's target set ever see the snoop. Within
-    // the targets the broadcast predicate below still applies — a
-    // stale sharer bit (silent clean eviction) names a node that
-    // no-ops through `snoop_one`, and the predicate proves it.
-    if let Some(t) = &ev.targets {
-        if !t.contains(node.id) {
-            return false;
-        }
-    }
     ev.req.requester == node.id
         || ev.supplier == Some(node.id)
         || !node.mshrs.is_empty()
@@ -2121,18 +1976,15 @@ fn issue_miss(node: &mut Node, ctx: &mut Ctx, line: LineAddr, exclusive: bool, t
     }
     let e = node.mshrs.alloc(MshrEntry::new(line, exclusive, ts)).expect("mshr alloc");
     e.issued = true;
-    ctx.send_req(
-        node.id,
-        BusRequest {
-            requester: node.id,
-            line,
-            kind: if exclusive { BusReqKind::GetX } else { BusReqKind::GetS },
-            ts,
-            karma: if ts.is_some() { node.karma } else { 0 },
-            wb_data: None,
-            enqueued_at: ctx.now,
-        },
-    );
+    ctx.fabric.send(BusRequest {
+        requester: node.id,
+        line,
+        kind: if exclusive { BusReqKind::GetX } else { BusReqKind::GetS },
+        ts,
+        karma: if ts.is_some() { node.karma } else { 0 },
+        wb_data: None,
+        enqueued_at: ctx.now,
+    });
     ctx.stats.node_mut(node.id).l1_misses += 1;
     true
 }
@@ -2157,18 +2009,15 @@ fn install_line(node: &mut Node, ctx: &mut Ctx, entry: CacheLine) -> Result<(), 
     // clean: the node may still owe a deferred response for them.
     if evicted2.state.dirty() || evicted2.spec_accessed() {
         node.pending_wb.push(PendingWriteback { line: evicted2.line, data: evicted2.data, cancelled: false });
-        ctx.send_req(
-            node.id,
-            BusRequest {
-                requester: node.id,
-                line: evicted2.line,
-                kind: BusReqKind::WriteBack,
-                ts: None,
-                karma: 0,
-                wb_data: Some(evicted2.data),
-                enqueued_at: ctx.now,
-            },
-        );
+        ctx.fabric.send(BusRequest {
+            requester: node.id,
+            line: evicted2.line,
+            kind: BusReqKind::WriteBack,
+            ts: None,
+            karma: 0,
+            wb_data: Some(evicted2.data),
+            enqueued_at: ctx.now,
+        });
     }
     if evicted2.spec_accessed() {
         return Err(());
@@ -2696,7 +2545,7 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
         // the chain upstream of us. It cannot touch this copy.
         if acquired_at > ev.order_cycle {
             if supplier {
-                redirect_to_memory(ctx, req);
+                supply_from_memory(ctx, req, true, 0);
             }
             return;
         }
@@ -2754,7 +2603,7 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
             l.state = outcome.next;
         }
         if supplier {
-            redirect_to_memory(ctx, req);
+            supply_from_memory(ctx, req, true, 0);
         }
         return;
     }
@@ -2776,25 +2625,26 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
     // 4. Nothing here; if the ledger pointed at us it is stale (a
     //    silently evicted clean line): memory supplies.
     if supplier {
-        redirect_to_memory(ctx, req);
+        supply_from_memory(ctx, req, true, 0);
     }
 }
 
-/// Supplies a request from the memory side after a stale-owner snoop
-/// miss.
-fn redirect_to_memory(ctx: &mut Ctx, req: &BusRequest) {
+/// Supplies a request from the memory side, `after` cycles from now:
+/// at its ordering point when no cache supplies, or after a
+/// stale-owner snoop miss. A redirect passes `other_sharers = true`:
+/// the designated cache could not supply, other caches may have picked
+/// up Shared copies since the request was ordered, so a shared request
+/// must never be granted Exclusive there (the order-time sharers
+/// snapshot is stale).
+fn supply_from_memory(ctx: &mut Ctx, req: &BusRequest, other_sharers: bool, after: u64) {
     let (data, res) = ctx.memsys.supply(req.line);
     if res.l2_hit {
         ctx.stats.l2_supplies += 1;
     } else {
         ctx.stats.memory_supplies += 1;
     }
-    // A redirect means the ledger-designated cache could not supply —
-    // other caches may have picked up Shared copies since the request
-    // was ordered, so a shared request must never be granted
-    // Exclusive here (the order-time sharers snapshot is stale).
-    let grant = protocol::fill_grant(req.kind, true, false);
-    let delay = res.latency + ctx.data_latency();
+    let grant = protocol::fill_grant(req.kind, other_sharers, false);
+    let delay = after + res.latency + ctx.data_latency();
     ctx.net.send(
         ctx.now + delay,
         NetMsg::Data { to: req.requester, line: req.line, data, grant },
@@ -3021,7 +2871,7 @@ fn chain_supply(node: &mut Node, ctx: &mut Ctx, line: LineAddr, iv: &Interventio
             return;
         }
         debug_assert!(
-            ctx.cfg.retention == tlr_sim::config::RetentionPolicy::Nack,
+            ctx.policy.effective_retention(ctx.cfg.retention) == tlr_sim::config::RetentionPolicy::Nack,
             "chain supply for line {line} that is not resident"
         );
         ctx.stats.node_mut(node.id).nacks_sent += 1;
@@ -3212,18 +3062,15 @@ fn handle_nack(node: &mut Node, ctx: &mut Ctx, line: LineAddr) {
 fn retry_nacked(node: &mut Node, ctx: &mut Ctx) {
     for line in node.nack_retries.take_due(ctx.now) {
         if let Some(m) = node.mshrs.get(line) {
-            ctx.send_req(
-                node.id,
-                BusRequest {
-                    requester: node.id,
-                    line,
-                    kind: if m.exclusive { BusReqKind::GetX } else { BusReqKind::GetS },
-                    ts: m.ts,
-                    karma: if m.ts.is_some() { node.karma } else { 0 },
-                    wb_data: None,
-                    enqueued_at: ctx.now,
-                },
-            );
+            ctx.fabric.send(BusRequest {
+                requester: node.id,
+                line,
+                kind: if m.exclusive { BusReqKind::GetX } else { BusReqKind::GetS },
+                ts: m.ts,
+                karma: if m.ts.is_some() { node.karma } else { 0 },
+                wb_data: None,
+                enqueued_at: ctx.now,
+            });
         }
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! Nodes are passive containers; the coherence-controller *logic*
 //! operating on them lives in [`crate::machine`], because most
-//! decisions need machine-global context (the bus, the data network,
-//! the owner ledger).
+//! decisions need machine-global context (the ordering fabric, the
+//! data network).
 
 use std::collections::VecDeque;
 

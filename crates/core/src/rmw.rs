@@ -77,7 +77,7 @@ impl RmwPredictor {
 
     /// Replays `count` identical spin-loop loads in one call — exactly
     /// equivalent to `count` [`RmwPredictor::record_load`]`(pc, line)`
-    /// calls, because after [`HISTORY`] identical pushes the history
+    /// calls, because after `HISTORY` identical pushes the history
     /// holds only `(pc, line)` and further pushes change nothing. The
     /// event engine uses this to settle a fast-forwarded spin window.
     pub fn replay_spin_loads(&mut self, pc: u32, line: LineAddr, count: u64) {

@@ -1,4 +1,4 @@
-//! Speculative Lock Elision support (Rajwar & Goodman [30], used by
+//! Speculative Lock Elision support (Rajwar & Goodman \[30\], used by
 //! TLR as its enabling mechanism).
 //!
 //! SLE identifies critical sections "by exploiting silent store-pairs:

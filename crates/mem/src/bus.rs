@@ -107,20 +107,10 @@ impl Bus {
         self.queued
     }
 
-    /// Whether node `node` has queued requests.
-    pub fn node_pending(&self, node: NodeId) -> bool {
-        !self.queues[node].is_empty()
-    }
-
     /// Total requests ordered so far (see the `ordered` field note on
     /// deriving bus utilization from this count).
     pub fn ordered_count(&self) -> u64 {
         self.ordered
-    }
-
-    /// The configured per-transaction occupancy in cycles.
-    pub fn occupancy(&self) -> u64 {
-        self.occupancy
     }
 
     /// The next cycle at which [`Bus::tick`] can order a request:
@@ -225,8 +215,6 @@ mod tests {
         let mut bus = Bus::new(2, 1);
         assert_eq!(bus.pending(), 0);
         bus.enqueue(1, req(1, 5));
-        assert!(bus.node_pending(1));
-        assert!(!bus.node_pending(0));
         assert_eq!(bus.pending(), 1);
     }
 
@@ -234,7 +222,6 @@ mod tests {
     fn ordered_count_tracks_grants() {
         let mut bus = Bus::new(2, 4);
         assert_eq!(bus.ordered_count(), 0);
-        assert_eq!(bus.occupancy(), 4);
         bus.enqueue(0, req(0, 1));
         bus.enqueue(1, req(1, 2));
         assert!(bus.tick(0).is_some());

@@ -15,16 +15,16 @@
 //! instead of broadcast — which is what lets TLR's timestamp-ordered
 //! conflict resolution run at 32–256 processors.
 //!
-//! The transition rules are deliberately the snooping machine's
-//! owner-ledger rules re-expressed over explicit entries (see
-//! [`crate::protocol::dir_order`]): the paper's claim is that TLR
-//! needs *no new protocol states*, only the ability to carry a
-//! timestamp and direct a probe — so the directory adds bookkeeping,
-//! never new coherence semantics. The sharer vector is imprecise in
-//! the standard way: silent clean evictions are never reported, so a
-//! stale sharer bit can downgrade a grant from Exclusive to Shared or
-//! direct a spurious (no-op) invalidation, but never lets two owners
-//! coexist.
+//! The ordering rule is the one the snooping bus applies
+//! ([`crate::protocol::dir_order`]): the bus feeds it its owner ledger
+//! and an exact cache scan, the directory its explicit entry. The
+//! paper's claim is that TLR needs *no new protocol states*, only the
+//! ability to carry a timestamp and direct a probe — so the directory
+//! adds bookkeeping, never new coherence semantics. The sharer vector
+//! is imprecise in the standard way: silent clean evictions are never
+//! reported, so a stale sharer bit can downgrade a grant from Exclusive
+//! to Shared or direct a spurious (no-op) invalidation, but never lets
+//! two owners coexist.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -124,15 +124,14 @@ pub struct DirEntry {
 }
 
 /// What the directory decides for a request at its ordering point,
-/// before the decision is committed: who supplies, whether the grant
-/// must be Shared, and exactly which caches must observe the request
-/// (the directed replacement for a broadcast snoop).
+/// before the decision is committed: the entry rule's outcome, and
+/// exactly which caches must observe the request (the directed
+/// replacement for a broadcast snoop).
 #[derive(Debug, Clone)]
 pub struct OrderDecision {
-    /// The cache designated to supply, if any (else memory).
-    pub supplier: Option<NodeId>,
-    /// Whether nodes other than the requester hold registered copies.
-    pub other_sharers: bool,
+    /// [`protocol::dir_order`] over the entry: supplier, other
+    /// sharers, self-ownership and the ownership transfer.
+    pub rule: DirOutcome,
     /// The caches that must process this ordered request: the
     /// requester, the supplier, and — for exclusive requests — every
     /// registered sharer (they hold copies to invalidate, or in-flight
@@ -264,13 +263,12 @@ impl Directory {
     /// [`Directory::retire_writeback`]).
     pub fn peek_order(&self, req: &BusRequest) -> OrderDecision {
         let entry = self.entries.get(&req.line);
-        let owner = entry.and_then(|e| e.owner);
-        let other_holders = entry.is_some_and(|e| e.sharers.any_other(req.requester));
-        let DirOutcome { supplier, other_sharers, .. } =
-            protocol::dir_order(req.kind, req.requester, owner, other_holders);
+        let rule = protocol::dir_order(req.kind, req.requester, entry.and_then(|e| e.owner), || {
+            entry.is_some_and(|e| e.sharers.any_other(req.requester))
+        });
         let mut targets = NodeSet::new(self.nodes);
         targets.insert(req.requester);
-        if let Some(s) = supplier {
+        if let Some(s) = rule.supplier {
             targets.insert(s);
         }
         if req.kind.is_exclusive() {
@@ -280,7 +278,7 @@ impl Directory {
                 }
             }
         }
-        OrderDecision { supplier, other_sharers, targets }
+        OrderDecision { rule, targets }
     }
 
     /// Commits `req`'s ordering decision to the entry: registers the
@@ -294,8 +292,8 @@ impl Directory {
             .entries
             .entry(req.line)
             .or_insert_with(|| DirEntry { owner: None, sharers: NodeSet::new(nodes) });
-        let decision =
-            protocol::dir_order(req.kind, req.requester, entry.owner, entry.sharers.any_other(req.requester));
+        let others = entry.sharers.any_other(req.requester);
+        let decision = protocol::dir_order(req.kind, req.requester, entry.owner, || others);
         if req.kind.is_exclusive() {
             entry.sharers.clear();
         }
@@ -441,7 +439,7 @@ mod tests {
         let mut dir = Directory::new(4, 1, 1, 0);
         // Cold GetS: exclusive grant, requester becomes owner.
         let g = req(0, 7, BusReqKind::GetS);
-        let d = dir.peek_order(&g);
+        let d = dir.peek_order(&g).rule;
         assert_eq!((d.supplier, d.other_sharers), (None, false));
         dir.commit_order(&g);
         assert_eq!(dir.owner(LineAddr(7)), Some(0));
@@ -449,7 +447,7 @@ mod tests {
         // Second reader: owner supplies and keeps ownership.
         let g1 = req(1, 7, BusReqKind::GetS);
         let d = dir.peek_order(&g1);
-        assert_eq!((d.supplier, d.other_sharers), (Some(0), true));
+        assert_eq!((d.rule.supplier, d.rule.other_sharers), (Some(0), true));
         assert!(d.targets.contains(0) && d.targets.contains(1));
         assert!(!d.targets.contains(2), "GetS is directed, not broadcast");
         dir.commit_order(&g1);
@@ -459,7 +457,7 @@ mod tests {
         // the sharer vector collapses to the writer.
         let x = req(2, 7, BusReqKind::GetX);
         let d = dir.peek_order(&x);
-        assert_eq!(d.supplier, Some(0));
+        assert_eq!(d.rule.supplier, Some(0));
         for n in [0, 1, 2] {
             assert!(d.targets.contains(n), "node {n} targeted");
         }
@@ -504,7 +502,7 @@ mod tests {
         dir.commit_order(&req(0, 3, BusReqKind::GetX));
         // Peek for a conflicting request, then *don't* commit (NACK).
         let d = dir.peek_order(&req(1, 3, BusReqKind::GetX));
-        assert_eq!(d.supplier, Some(0));
+        assert_eq!(d.rule.supplier, Some(0));
         assert_eq!(dir.owner(LineAddr(3)), Some(0), "annulled request transfers nothing");
         assert_eq!(dir.sharers(LineAddr(3)).iter().collect::<Vec<_>>(), vec![0]);
     }

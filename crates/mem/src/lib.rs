@@ -4,7 +4,7 @@
 //! shared-memory multiprocessor of §5.3 / Table 2 of the paper:
 //!
 //! * [`addr`] — addresses and 64-byte cache-line geometry,
-//! * [`line`] — MOESI states and cache lines with the per-line
+//! * [`line`](mod@line) — MOESI states and cache lines with the per-line
 //!   transactional *access bits* of Figure 5,
 //! * [`cache`] — set-associative L1 with LRU replacement,
 //! * [`victim`] — the small fully-associative victim cache of §3.3,

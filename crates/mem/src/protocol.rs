@@ -82,33 +82,37 @@ pub fn fill_grant(kind: BusReqKind, other_sharers: bool, from_cache: bool) -> Da
     }
 }
 
-/// What the home directory decides when a request reaches its bank's
-/// ordering point. This is the directory-protocol analogue of the
-/// snooping machine's owner-ledger consultation: the same rules,
-/// expressed over the directory's (owner, sharer-vector) entry instead
-/// of a broadcast snoop of every cache.
+/// What an ordering point decides for a data request: who supplies,
+/// whether the grant must be Shared, and whether ownership moves. One
+/// rule for both fabrics ([`dir_order`]): the snooping bus applies it
+/// to its owner ledger and an exact scan of every cache, the directory
+/// to the home entry's (owner, sharer-vector) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirOutcome {
     /// The cache designated to supply (the registered owner, when it
     /// is not the requester itself). `None` means memory supplies.
     pub supplier: Option<NodeId>,
-    /// Whether any node other than the requester is registered as
-    /// holding a copy — decides Shared vs. Exclusive grants exactly as
-    /// the snooping machine's cache scan does. The sharer vector is
-    /// imprecise (silent clean evictions are never reported), so this
-    /// may be a stale positive; that only downgrades a grant from
-    /// Exclusive to Shared, never the reverse.
+    /// Whether any node other than the requester holds a copy —
+    /// decides Shared vs. Exclusive grants. The bus's cache scan is
+    /// exact; the directory's sharer vector is imprecise (silent clean
+    /// evictions are never reported), so there this may be a stale
+    /// positive; that only downgrades a grant from Exclusive to
+    /// Shared, never the reverse.
     pub other_sharers: bool,
-    /// Whether the entry's owner field moves to the requester at the
-    /// ordering point: always for an exclusive request, and for a GetS
-    /// granted with no supplier and no other sharers (the Exclusive
-    /// grant). Mirrors the snooping ledger rule verbatim.
+    /// Whether the requester is itself the registered owner (an Owned
+    /// copy upgrading without a data transfer).
+    pub self_owner: bool,
+    /// Whether ownership moves to the requester at the ordering point:
+    /// always for an exclusive request, and for a GetS granted with no
+    /// supplier and no other sharers (the Exclusive grant).
     pub take_ownership: bool,
 }
 
-/// Directory ordering decision for a request of `kind` from
-/// `requester`, given the home entry's registered `owner` and whether
-/// any *other* node is registered as a sharer (`other_holders`).
+/// The ordering decision for a request of `kind` from `requester`,
+/// given the registered `owner` and whether any *other* node holds a
+/// copy (`other_holders`). `other_holders` is consulted only when
+/// there is no supplier (a supplier already makes the grant Shared),
+/// so a costly exact scan runs only where it can change the outcome.
 ///
 /// Writebacks never come through here: they retire at the ordering
 /// point without a grant (see `Directory::retire_writeback`).
@@ -116,17 +120,18 @@ pub fn dir_order(
     kind: BusReqKind,
     requester: NodeId,
     owner: Option<NodeId>,
-    other_holders: bool,
+    other_holders: impl FnOnce() -> bool,
 ) -> DirOutcome {
     debug_assert!(
         matches!(kind, BusReqKind::GetS | BusReqKind::GetX),
-        "only data requests consult the directory entry"
+        "only data requests consult the ordering point's owner"
     );
     let supplier = owner.filter(|&o| o != requester);
-    let other_sharers = other_holders || supplier.is_some();
+    let other_sharers = supplier.is_some() || other_holders();
     DirOutcome {
         supplier,
         other_sharers,
+        self_owner: owner == Some(requester),
         take_ownership: kind == BusReqKind::GetX || (supplier.is_none() && !other_sharers),
     }
 }
@@ -204,25 +209,29 @@ mod tests {
     #[test]
     fn dir_order_mirrors_the_snooping_ledger() {
         // No owner, no sharers: GetS takes ownership (Exclusive grant).
-        let d = dir_order(GetS, 1, None, false);
-        assert_eq!(d, DirOutcome { supplier: None, other_sharers: false, take_ownership: true });
+        let d = dir_order(GetS, 1, None, || false);
+        assert_eq!((d.supplier, d.other_sharers, d.self_owner, d.take_ownership), (None, false, false, true));
         // A remote owner supplies and keeps ownership on GetS...
-        let d = dir_order(GetS, 1, Some(0), true);
+        let d = dir_order(GetS, 1, Some(0), || true);
         assert_eq!(d.supplier, Some(0));
-        assert!(d.other_sharers && !d.take_ownership);
+        assert!(d.other_sharers && !d.take_ownership && !d.self_owner);
         // ...but loses it on GetX.
-        let d = dir_order(GetX, 1, Some(0), true);
+        let d = dir_order(GetX, 1, Some(0), || true);
         assert_eq!(d.supplier, Some(0));
         assert!(d.other_sharers && d.take_ownership);
         // The requester re-reading its own line is not its own supplier.
-        let d = dir_order(GetS, 0, Some(0), false);
+        let d = dir_order(GetS, 0, Some(0), || false);
         assert_eq!(d.supplier, None);
+        assert!(d.self_owner);
         assert!(!d.other_sharers, "self-ownership is not an other-sharer");
         // Sharers without an owner force a Shared grant, no ownership.
-        let d = dir_order(GetS, 1, None, true);
-        assert_eq!(d, DirOutcome { supplier: None, other_sharers: true, take_ownership: false });
+        let d = dir_order(GetS, 1, None, || true);
+        assert_eq!((d.supplier, d.other_sharers, d.self_owner, d.take_ownership), (None, true, false, false));
         // GetX always takes ownership, even from a cold entry.
-        assert!(dir_order(GetX, 2, None, false).take_ownership);
+        assert!(dir_order(GetX, 2, None, || false).take_ownership);
+        // A supplier decides the grant alone: no holder scan runs.
+        let d = dir_order(GetS, 1, Some(0), || unreachable!("scanned despite a supplier"));
+        assert!(d.other_sharers);
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn drain(
                         req.requester
                     ));
                 }
-                if let Some(sup) = decision.supplier {
+                if let Some(sup) = decision.rule.supplier {
                     if !decision.targets.contains(sup) {
                         return Err(format!("supplier {sup} missing from the target set"));
                     }

@@ -15,7 +15,7 @@
 //!
 //! The simulator is deterministic by construction: every source of
 //! "randomness" (fairness delays after lock releases, latency
-//! perturbation per Alameldeen et al. [1]) is driven by [`rng::SimRng`]
+//! perturbation per Alameldeen et al. \[1\]) is driven by [`rng::SimRng`]
 //! seeded from the run configuration.
 //!
 //! # Example

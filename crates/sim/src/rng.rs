@@ -1,7 +1,7 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! Multithreaded-workload evaluation is non-deterministic on real
-//! hardware; the paper (§5.3, citing Alameldeen et al. [1]) introduces
+//! hardware; the paper (§5.3, citing Alameldeen et al. \[1\]) introduces
 //! random latency perturbations instead of averaging over runs. We do
 //! the same but keep every run exactly reproducible by deriving all
 //! randomness from a seeded SplitMix64 generator.

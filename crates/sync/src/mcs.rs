@@ -1,4 +1,4 @@
-//! MCS queue locks (Mellor-Crummey & Scott [26]) over LL/SC.
+//! MCS queue locks (Mellor-Crummey & Scott \[26\]) over LL/SC.
 //!
 //! Each thread owns a queue node per lock; the lock variable is a
 //! tail pointer. Acquisition swaps the tail to self and, if there was
