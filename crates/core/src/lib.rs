@@ -44,6 +44,7 @@ mod fabric;
 pub mod machine;
 pub mod node;
 pub mod os;
+mod pc_table;
 pub mod policy;
 pub mod rmw;
 pub mod run;

@@ -16,6 +16,8 @@
 
 use tlr_mem::addr::LineAddr;
 
+use crate::pc_table::PcTable;
+
 /// How many recent loads are remembered for matching stores against.
 const HISTORY: usize = 16;
 
@@ -34,8 +36,8 @@ const ATOMIC_EXCLUSIONS: usize = 8;
 #[derive(Debug, Clone)]
 pub struct RmwPredictor {
     /// Direct-mapped table of load PCs predicted to be followed by a
-    /// store to the same line. Entries hold (pc, confidence).
-    table: Vec<Option<(u32, u8)>>,
+    /// store to the same line. Entries hold (pc, confidence 1..=3).
+    table: PcTable,
     /// Recently committed loads: (pc, line).
     recent_loads: Vec<(u32, LineAddr)>,
     /// Recently observed store-conditional target lines (lock words).
@@ -50,17 +52,7 @@ impl RmwPredictor {
     ///
     /// Panics if `entries` is not a power of two.
     pub fn new(entries: usize, enabled: bool) -> Self {
-        assert!(entries.is_power_of_two(), "predictor entries must be a power of two");
-        RmwPredictor {
-            table: vec![None; entries],
-            recent_loads: Vec::new(),
-            atomic_lines: Vec::new(),
-            enabled,
-        }
-    }
-
-    fn slot(&self, pc: u32) -> usize {
-        pc as usize & (self.table.len() - 1)
+        RmwPredictor { table: PcTable::new(entries), recent_loads: Vec::new(), atomic_lines: Vec::new(), enabled }
     }
 
     /// Records a committed (plain) load so later stores can train
@@ -115,11 +107,8 @@ impl RmwPredictor {
             }
         });
         for pc in trained {
-            let s = self.slot(pc);
-            match &mut self.table[s] {
-                Some((p, conf)) if *p == pc => *conf = (*conf + 1).min(3),
-                e => *e = Some((pc, 1)),
-            }
+            let conf = self.table.confidence(pc).map_or(1, |c| (c + 1).min(3));
+            self.table.set(pc, conf);
         }
     }
 
@@ -129,28 +118,23 @@ impl RmwPredictor {
         if !self.enabled {
             return false;
         }
-        matches!(self.table[self.slot(pc)], Some((p, conf)) if p == pc && conf >= 1)
+        self.table.confidence(pc).is_some_and(|c| c >= 1)
     }
 
     /// Weakens the prediction for `pc` (a predicted-exclusive load
     /// that was never followed by a store wastes ownership).
     pub fn mispredicted(&mut self, pc: u32) {
-        let s = self.slot(pc);
-        if let Some((p, conf)) = &mut self.table[s] {
-            if *p == pc {
-                if *conf <= 1 {
-                    self.table[s] = None;
-                } else {
-                    *conf -= 1;
-                }
-            }
+        match self.table.confidence(pc) {
+            Some(c) if c <= 1 => self.table.clear(pc),
+            Some(c) => self.table.set(pc, c - 1),
+            None => {}
         }
     }
 
     /// Number of trained entries (the paper reports usage: radiosity
     /// used just under 100 of 128, others fewer than 30).
     pub fn trained_entries(&self) -> usize {
-        self.table.iter().filter(|e| e.is_some()).count()
+        self.table.occupied()
     }
 }
 
@@ -196,6 +180,7 @@ mod tests {
         assert!(p.predicts_store(3));
         p.mispredicted(3);
         assert!(!p.predicts_store(3));
+        assert_eq!(p.trained_entries(), 0, "a cleared entry is no longer trained");
         // Retrains after more evidence.
         p.record_load(3, LineAddr(9));
         p.record_store(LineAddr(9));

@@ -18,6 +18,8 @@
 use tlr_mem::addr::Addr;
 use tlr_sim::Cycle;
 
+use crate::pc_table::PcTable;
+
 /// Reasons a transaction ends without committing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortKind {
@@ -83,7 +85,7 @@ pub struct PairCandidate {
 #[derive(Debug, Clone)]
 pub struct StorePairPredictor {
     /// Direct-mapped entries: (pc, confidence 0..=3).
-    table: Vec<Option<(u32, u8)>>,
+    table: PcTable,
     /// Open candidates awaiting their silent second store.
     candidates: Vec<PairCandidate>,
     enabled: bool,
@@ -100,18 +102,13 @@ impl StorePairPredictor {
     ///
     /// Panics if `entries` is not a power of two.
     pub fn new(entries: usize, enabled: bool) -> Self {
-        assert!(entries.is_power_of_two(), "predictor entries must be a power of two");
-        StorePairPredictor { table: vec![None; entries], candidates: Vec::new(), enabled }
-    }
-
-    fn slot(&self, pc: u32) -> usize {
-        pc as usize & (self.table.len() - 1)
+        StorePairPredictor { table: PcTable::new(entries), candidates: Vec::new(), enabled }
     }
 
     /// Whether the store-conditional at `pc` should be elided.
     pub fn should_elide(&self, pc: u32) -> bool {
         self.enabled
-            && matches!(self.table[self.slot(pc)], Some((p, conf)) if p == pc && conf >= 2)
+            && self.table.confidence(pc).is_some_and(|c| c >= 2)
     }
 
     /// Observes a *real* (non-elided) successful store-conditional
@@ -136,31 +133,24 @@ impl StorePairPredictor {
             self.candidates.iter().position(|c| c.addr == addr && c.old_value == value)
         {
             let pc = self.candidates.remove(pos).pc;
-            let s = self.slot(pc);
-            match &mut self.table[s] {
-                Some((p, conf)) if *p == pc => *conf = (*conf + 2).min(3),
-                e => *e = Some((pc, 2)),
-            }
+            let conf = self.table.confidence(pc).map_or(2, |c| (c + 2).min(3));
+            self.table.set(pc, conf);
         }
     }
 
     /// Lowers confidence after an elision at `pc` failed (SLE's
     /// adaptive fallback under frequent conflicts).
     pub fn elision_failed(&mut self, pc: u32) {
-        let s = self.slot(pc);
-        if let Some((p, conf)) = &mut self.table[s] {
-            if *p == pc {
-                *conf = conf.saturating_sub(1);
-            }
+        // A slot that reaches confidence 0 stays occupied.
+        if let Some(c) = self.table.confidence(pc) {
+            self.table.set(pc, c.saturating_sub(1));
         }
     }
 
     /// Raises confidence after a successful lock-free commit.
     pub fn elision_succeeded(&mut self, pc: u32) {
-        let s = self.slot(pc);
-        match &mut self.table[s] {
-            Some((p, conf)) if *p == pc => *conf = (*conf + 1).min(3),
-            _ => {}
+        if let Some(c) = self.table.confidence(pc) {
+            self.table.set(pc, (c + 1).min(3));
         }
     }
 
@@ -282,6 +272,23 @@ mod tests {
         assert!(!p.should_elide(10), "confidence dropped below threshold");
         p.elision_succeeded(10); // e.g. a later fallback-free run
         assert!(p.should_elide(10));
+    }
+
+    #[test]
+    fn confidence_zero_entry_stays_trained() {
+        let mut p = StorePairPredictor::new(64, true);
+        train(&mut p, 10, Addr(64));
+        p.elision_failed(10);
+        p.elision_failed(10);
+        p.elision_failed(10);
+        // The entry sits at confidence 0 but still holds pc 10, so
+        // successes raise it back; an untrained pc is not raised.
+        p.elision_succeeded(10);
+        p.elision_succeeded(10);
+        p.elision_succeeded(11);
+        p.elision_succeeded(11);
+        assert!(p.should_elide(10));
+        assert!(!p.should_elide(11));
     }
 
     #[test]

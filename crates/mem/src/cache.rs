@@ -14,13 +14,17 @@ use crate::line::CacheLine;
 /// Within a set, lines are kept in LRU order: index 0 is the most
 /// recently used.
 ///
-/// A set's line storage is allocated at its first insert and grows
-/// with ordinary `Vec` growth, so host memory follows the sets a run
-/// touches rather than the configured geometry; `ways` alone bounds a
-/// set's occupancy.
+/// Host memory follows the sets a run touches rather than the
+/// configured geometry. Each set has a `u16` slot (1 KiB for the
+/// 512-set L1) indexing a store of set storage: slot 0 is a shared,
+/// always-empty set that every untouched set points at, and a set's
+/// first insert gives it its own storage, appended in first-touch
+/// order. That storage grows with ordinary `Vec` growth; `ways` alone
+/// bounds a set's occupancy.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<CacheLine>>,
+    slots: Vec<u16>,
+    touched: Vec<Vec<CacheLine>>,
     ways: usize,
     set_mask: u64,
 }
@@ -30,37 +34,39 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or either parameter is
-    /// zero.
+    /// Panics if `sets` is not a power of two, either parameter is
+    /// zero, or `sets` exceeds the `u16` slot index.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
+        assert!(sets <= u16::MAX as usize, "at most {} sets fit the u16 slot index", u16::MAX);
         assert!(ways > 0, "ways must be nonzero");
-        Cache {
-            sets: (0..sets).map(|_| Vec::new()).collect(),
-            ways,
-            set_mask: sets as u64 - 1,
-        }
+        Cache { slots: vec![0; sets], touched: vec![Vec::new()], ways, set_mask: sets as u64 - 1 }
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 & self.set_mask) as usize
+    /// The lines of `line`'s set, MRU first.
+    fn set(&self, line: LineAddr) -> &[CacheLine] {
+        &self.touched[self.slots[(line.0 & self.set_mask) as usize] as usize]
+    }
+
+    /// The storage of `line`'s set. Only [`Cache::insert`] may add a
+    /// line: an untouched set's storage is the shared empty set.
+    fn set_mut(&mut self, line: LineAddr) -> &mut Vec<CacheLine> {
+        &mut self.touched[self.slots[(line.0 & self.set_mask) as usize] as usize]
     }
 
     /// Looks up a line without updating LRU order.
     pub fn peek(&self, line: LineAddr) -> Option<&CacheLine> {
-        self.sets[self.set_index(line)].iter().find(|l| l.line == line)
+        self.set(line).iter().find(|l| l.line == line)
     }
 
     /// Mutable lookup without updating LRU order.
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
-        let set = self.set_index(line);
-        self.sets[set].iter_mut().find(|l| l.line == line)
+        self.set_mut(line).iter_mut().find(|l| l.line == line)
     }
 
     /// Looks up a line, updating LRU order on a hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
+        let ways = self.set_mut(line);
         let pos = ways.iter().position(|l| l.line == line)?;
         ways[..=pos].rotate_right(1);
         Some(&mut ways[0])
@@ -76,7 +82,7 @@ impl Cache {
     /// unchanged (the event engine's spin fast-forward relies on
     /// this to skip re-touching hits).
     pub fn is_mru(&self, line: LineAddr) -> bool {
-        self.sets[self.set_index(line)].first().is_some_and(|l| l.line == line)
+        self.set(line).first().is_some_and(|l| l.line == line)
     }
 
     /// Inserts a line, evicting the LRU entry if the set is full.
@@ -87,45 +93,53 @@ impl Cache {
     ///
     /// Returns the evicted line, if any.
     pub fn insert(&mut self, entry: CacheLine) -> Option<CacheLine> {
-        let set = self.set_index(entry.line);
-        debug_assert!(
-            !self.sets[set].iter().any(|l| l.line == entry.line),
-            "inserting duplicate line {}",
-            entry.line
-        );
-        let mut evicted = None;
-        if self.sets[set].len() == self.ways {
-            // Search from LRU end for a non-transactional victim.
-            let victim_pos = self.sets[set]
-                .iter()
-                .rposition(|l| !l.spec_accessed())
-                .unwrap_or(self.sets[set].len() - 1);
-            evicted = Some(self.sets[set].remove(victim_pos));
+        let index = (entry.line.0 & self.set_mask) as usize;
+        if self.slots[index] == 0 {
+            // `new` bounds the set count, and so every slot, by u16::MAX.
+            self.slots[index] = self.touched.len() as u16;
+            self.touched.push(Vec::new());
         }
-        self.sets[set].insert(0, entry);
+        let (ways, set) = (self.ways, &mut self.touched[self.slots[index] as usize]);
+        debug_assert!(!set.iter().any(|l| l.line == entry.line), "inserting duplicate line {}", entry.line);
+        let mut evicted = None;
+        if set.len() == ways {
+            // Search from LRU end for a non-transactional victim.
+            let victim_pos = set.iter().rposition(|l| !l.spec_accessed()).unwrap_or(set.len() - 1);
+            evicted = Some(set.remove(victim_pos));
+        }
+        set.insert(0, entry);
         evicted
     }
 
     /// Removes and returns a line.
     pub fn take(&mut self, line: LineAddr) -> Option<CacheLine> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|l| l.line == line)?;
-        Some(self.sets[set].remove(pos))
+        let set = self.set_mut(line);
+        let pos = set.iter().position(|l| l.line == line)?;
+        Some(set.remove(pos))
     }
 
-    /// Iterates over all resident lines.
+    /// Iterates over all resident lines: by set index, then MRU to LRU.
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine> {
-        self.sets.iter().flatten()
+        self.slots.iter().flat_map(|&s| &self.touched[s as usize])
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.touched.iter().map(Vec::len).sum()
     }
 
     /// Whether the cache holds no lines.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Sets that own line storage: those touched by an insert. Checks
+    /// on the way that the shared empty set stayed empty and unallocated.
+    #[cfg(test)]
+    fn touched_sets(&self) -> Vec<usize> {
+        assert_eq!(self.touched[0].capacity(), 0, "the shared empty set never holds a line");
+        assert_eq!(self.touched.len(), 1 + self.slots.iter().filter(|&&s| s != 0).count());
+        (0..self.slots.len()).filter(|&i| self.slots[i] != 0).collect()
     }
 }
 
@@ -219,10 +233,12 @@ mod tests {
     fn set_storage_is_allocated_at_first_insert() {
         // The shared L2's geometry: 8192 sets of 8 ways.
         let mut c = Cache::new(8192, 8);
-        assert!(c.sets.iter().all(|s| s.capacity() == 0), "a fresh cache owns no set storage");
+        assert!(c.touched_sets().is_empty(), "a fresh cache owns no line storage");
+        assert!(!c.contains(LineAddr(3)) && c.take(LineAddr(3)).is_none());
+        assert!(c.get_mut(LineAddr(3)).is_none() && c.peek_mut(LineAddr(3)).is_none());
+        assert!(c.touched_sets().is_empty(), "lookups of untouched sets allocate nothing");
         c.insert(mk(3, Moesi::Shared));
-        let allocated: Vec<usize> = (0..c.sets.len()).filter(|&i| c.sets[i].capacity() > 0).collect();
-        assert_eq!(allocated, vec![3], "one insert allocates exactly its own set");
+        assert_eq!(c.touched_sets(), vec![3], "one insert creates exactly its own set");
         // Fill set 3 with a transactional LRU line and seven others;
         // the next insert still evicts the LRU non-transactional line.
         c.peek_mut(LineAddr(3)).unwrap().spec_read = true;
@@ -233,11 +249,29 @@ mod tests {
         assert_eq!(evicted.line, LineAddr(3 + 8192), "LRU non-transactional line");
         assert!(c.contains(LineAddr(3)), "the transactional line survives");
         assert_eq!(c.len(), 8);
+        assert_eq!(c.touched_sets(), vec![3], "one set's storage held all nine inserts");
+    }
+
+    #[test]
+    fn iter_runs_by_set_index_not_first_touch() {
+        let mut c = Cache::new(4, 2);
+        for l in [2u64, 1, 6, 5] {
+            c.insert(mk(l, Moesi::Shared));
+        }
+        // Set 2 was touched first, but set 1 iterates first; each set
+        // runs MRU to LRU.
+        assert_eq!(c.iter().map(|l| l.line.0).collect::<Vec<_>>(), vec![5, 1, 6, 2]);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_panics() {
         Cache::new(3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 slot index")]
+    fn oversized_geometry_panics() {
+        Cache::new(1 << 16, 1);
     }
 }

@@ -29,6 +29,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
+use tlr_sim::config::Interconnect;
 use tlr_sim::fault::NetFault;
 use tlr_sim::{Cycle, NodeId};
 
@@ -37,18 +38,29 @@ use crate::msg::BusRequest;
 use crate::network::Network;
 use crate::protocol::{self, DirOutcome};
 
+/// The most nodes a [`NodeSet`] holds: the directory lab's 256-way
+/// machine, the largest any interconnect supports.
+const NODE_SET_CAPACITY: usize = Interconnect::Directory.max_procs();
+
 /// A fixed-capacity bit-set of node ids — the directory's sharer
-/// vector. Sized once for the machine's processor count; insert,
-/// remove and membership are O(1), iteration is O(words).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// vector, the snoop target set and the event engine's active set.
+/// An inline `Copy` value of 256 bits, so making, copying and
+/// dropping one never touches the heap; insert, remove and membership
+/// are O(1), iteration is O(words).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeSet {
-    words: Vec<u64>,
+    words: [u64; NODE_SET_CAPACITY / 64],
 }
 
 impl NodeSet {
     /// An empty set able to hold ids `0..nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds the 256-node capacity.
     pub fn new(nodes: usize) -> Self {
-        NodeSet { words: vec![0; nodes.div_ceil(64)] }
+        assert!(nodes <= NODE_SET_CAPACITY, "a NodeSet holds at most {NODE_SET_CAPACITY} nodes, not {nodes}");
+        NodeSet::default()
     }
 
     /// Adds `id`; returns whether it was newly inserted.
@@ -92,21 +104,21 @@ impl NodeSet {
 
     /// Members in ascending id order; O(words + members).
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + b
-                })
-            })
+        let (mut w, mut bits) = (0, self.words[0]);
+        std::iter::from_fn(move || {
+            while bits == 0 {
+                w += 1;
+                bits = *self.words.get(w)?;
+            }
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(w * 64 + b)
         })
     }
 
     /// Removes all members.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.words = [0; NODE_SET_CAPACITY / 64];
     }
 }
 
@@ -324,9 +336,7 @@ impl Directory {
 
     /// The registered sharers of `line` (empty for untracked lines).
     pub fn sharers(&self, line: LineAddr) -> NodeSet {
-        self.entries
-            .get(&line)
-            .map_or_else(|| NodeSet::new(self.nodes), |e| e.sharers.clone())
+        self.entries.get(&line).map_or_else(|| NodeSet::new(self.nodes), |e| e.sharers)
     }
 
     /// Requests in flight or queued at a bank, awaiting ordering.
@@ -412,6 +422,46 @@ mod tests {
         assert!(!s.any_other(199), "only 199 left");
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 nodes")]
+    fn node_set_beyond_256_nodes_panics() {
+        NodeSet::new(257);
+    }
+
+    #[test]
+    fn node_set_iterates_ascending_across_all_words() {
+        let mut s = NodeSet::new(256);
+        for id in [255, 64, 3, 191, 128, 63, 0, 200] {
+            s.insert(id);
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 3, 63, 64, 128, 191, 200, 255]);
+    }
+
+    #[test]
+    fn node_set_word_edges() {
+        let edges = [0, 63, 64, 255];
+        let mut s = NodeSet::new(256);
+        for (k, &id) in edges.iter().enumerate() {
+            s.insert(id);
+            assert_eq!(s.len(), k + 1);
+            assert_eq!(s.any_other(id), k > 0, "any_other({id}) ignores {id} itself");
+        }
+        for &id in &edges {
+            let mut t = s;
+            assert!(t.remove(id) && !t.contains(id));
+            assert_eq!(t.len(), 3);
+            assert!(!t.remove(id), "second remove of {id} finds nothing");
+            assert!(t.iter().all(|m| m != id) && s.contains(id), "the copy is independent");
+        }
+        let mut only = NodeSet::new(256);
+        only.insert(255);
+        assert!(!only.any_other(255) && only.any_other(0) && only.any_other(64));
+        s.clear();
+        assert!(s.is_empty() && s.iter().next().is_none());
+        assert_eq!(s.len(), 0);
+        assert!(!s.contains(256), "ids past the capacity are never members");
     }
 
     #[test]

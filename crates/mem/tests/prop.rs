@@ -42,6 +42,173 @@ fn cache_invariants() {
     });
 }
 
+/// The cache layout of record: one LRU-ordered `Vec` per set, MRU
+/// first. `Cache` must behave exactly like it.
+struct ReferenceCache {
+    sets: Vec<Vec<CacheLine>>,
+    ways: usize,
+}
+
+impl ReferenceCache {
+    fn new(sets: usize, ways: usize) -> Self {
+        ReferenceCache { sets: (0..sets).map(|_| Vec::new()).collect(), ways }
+    }
+
+    fn set(&self, line: LineAddr) -> usize {
+        (line.0 as usize) & (self.sets.len() - 1)
+    }
+
+    fn peek(&self, line: LineAddr) -> Option<&CacheLine> {
+        self.sets[self.set(line)].iter().find(|l| l.line == line)
+    }
+
+    fn peek_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
+        let set = self.set(line);
+        self.sets[set].iter_mut().find(|l| l.line == line)
+    }
+
+    fn get_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
+        let set = self.set(line);
+        let ways = &mut self.sets[set];
+        let pos = ways.iter().position(|l| l.line == line)?;
+        ways[..=pos].rotate_right(1);
+        Some(&mut ways[0])
+    }
+
+    fn is_mru(&self, line: LineAddr) -> bool {
+        self.sets[self.set(line)].first().is_some_and(|l| l.line == line)
+    }
+
+    fn insert(&mut self, entry: CacheLine) -> Option<CacheLine> {
+        let set = self.set(entry.line);
+        let mut evicted = None;
+        if self.sets[set].len() == self.ways {
+            let victim_pos =
+                self.sets[set].iter().rposition(|l| !l.spec_accessed()).unwrap_or(self.sets[set].len() - 1);
+            evicted = Some(self.sets[set].remove(victim_pos));
+        }
+        self.sets[set].insert(0, entry);
+        evicted
+    }
+
+    fn take(&mut self, line: LineAddr) -> Option<CacheLine> {
+        let set = self.set(line);
+        let pos = self.sets[set].iter().position(|l| l.line == line)?;
+        Some(self.sets[set].remove(pos))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &CacheLine> {
+        self.sets.iter().flatten()
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// One cache operation; `spec` carries the access bits an insert
+/// starts with or a mutable lookup writes (bit 0 read, bit 1 written).
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Insert { line: u64, spec: u8 },
+    GetMut { line: u64, spec: Option<u8> },
+    PeekMut { line: u64, spec: u8 },
+    Peek { line: u64 },
+    Take { line: u64 },
+    IsMru { line: u64 },
+}
+
+fn set_spec(l: &mut CacheLine, spec: u8) {
+    l.spec_read = spec & 1 != 0;
+    l.spec_written = spec & 2 != 0;
+}
+
+/// `Cache` matches [`ReferenceCache`] op for op: every return value,
+/// every evicted line, `len()` and the full `iter()` order (set index,
+/// then MRU to LRU). Lines with access bits set make eviction skip
+/// them, so the preference for non-transactional victims is
+/// exercised as well as true LRU.
+#[test]
+fn cache_matches_reference_layout() {
+    check("cache_matches_reference_layout", 128, |s| {
+        let sets = 1usize << s.u32_in(0..=4);
+        let ways = s.usize_in(1..=3);
+        let ops = gen::vec_of(s, 1..=199, |s| {
+            let line = s.u64_in(0..=47);
+            let spec = s.u32_in(0..=3) as u8;
+            match s.u32_in(0..=5) {
+                0 | 1 => CacheOp::Insert { line, spec },
+                2 => CacheOp::GetMut { line, spec: s.bool().then_some(spec) },
+                3 => CacheOp::PeekMut { line, spec },
+                4 => CacheOp::Take { line },
+                _ if s.bool() => CacheOp::Peek { line },
+                _ => CacheOp::IsMru { line },
+            }
+        });
+        let (mut c, mut model) = (Cache::new(sets, ways), ReferenceCache::new(sets, ways));
+        for (n, op) in ops.into_iter().enumerate() {
+            let (got, want) = match op {
+                CacheOp::Insert { line, spec } => {
+                    let la = LineAddr(line);
+                    if model.peek(la).is_some() {
+                        // Inserting a resident line is a caller bug.
+                        continue;
+                    }
+                    let mut data = LineData::zeroed();
+                    data.0[0] = n as u64;
+                    let mut entry = CacheLine::new(la, Moesi::Shared, data);
+                    set_spec(&mut entry, spec);
+                    (c.insert(entry.clone()), model.insert(entry))
+                }
+                CacheOp::GetMut { line, spec } => {
+                    let touch = |l: Option<&mut CacheLine>| {
+                        l.map(|l| {
+                            if let Some(spec) = spec {
+                                set_spec(l, spec);
+                            }
+                            l.clone()
+                        })
+                    };
+                    (touch(c.get_mut(LineAddr(line))), touch(model.get_mut(LineAddr(line))))
+                }
+                CacheOp::PeekMut { line, spec } => {
+                    let touch = |l: Option<&mut CacheLine>| {
+                        l.map(|l| {
+                            set_spec(l, spec);
+                            l.clone()
+                        })
+                    };
+                    (touch(c.peek_mut(LineAddr(line))), touch(model.peek_mut(LineAddr(line))))
+                }
+                CacheOp::Peek { line } => (c.peek(LineAddr(line)).cloned(), model.peek(LineAddr(line)).cloned()),
+                CacheOp::Take { line } => (c.take(LineAddr(line)), model.take(LineAddr(line))),
+                CacheOp::IsMru { line } => {
+                    let (got, want) = (c.is_mru(LineAddr(line)), model.is_mru(LineAddr(line)));
+                    if got != want {
+                        return Err(format!("op {n} {op:?}: is_mru {got}, reference {want}"));
+                    }
+                    (None, None)
+                }
+            };
+            if got != want {
+                return Err(format!("op {n} {op:?}: returned {got:?}, reference {want:?}"));
+            }
+            if c.len() != model.len() {
+                return Err(format!("op {n} {op:?}: len {}, reference {}", c.len(), model.len()));
+            }
+            if !c.iter().eq(model.iter()) {
+                let lines = |it: &mut dyn Iterator<Item = &CacheLine>| it.map(|l| l.line.0).collect::<Vec<_>>();
+                return Err(format!(
+                    "op {n} {op:?}: iter {:?}, reference {:?}",
+                    lines(&mut c.iter()),
+                    lines(&mut model.iter())
+                ));
+            }
+        }
+        Ok(())
+    });
+}
+
 /// Write-buffer forwarding behaves like a word-indexed map over the
 /// written words, as long as capacity is not exceeded.
 #[test]

@@ -101,7 +101,7 @@ impl Interconnect {
     /// The largest processor count this interconnect supports: the
     /// broadcast bus is the paper's 16-way Gigaplane-class machine,
     /// the directory's sharer vectors are sized for 256-way NUMA.
-    pub fn max_procs(self) -> usize {
+    pub const fn max_procs(self) -> usize {
         match self {
             Interconnect::Snooping => 16,
             Interconnect::Directory => 256,
