@@ -2194,9 +2194,16 @@ fn try_commit(node: &mut Node, ctx: &mut Ctx) {
         }
     }
     let txn = node.txn.take().expect("commit without transaction");
-    for e in node.wb.entries().to_vec() {
-        let l = node.line_mut(e.line).expect("writable line vanished at commit");
-        tlr_mem::WriteBuffer::apply_entry(&e, &mut l.data);
+    // The caches are borrowed apart from the write buffer so its
+    // entries apply in place; the lookup is `Node::line_mut`'s (an L1
+    // hit refreshes LRU order).
+    let Node { wb, l1, victim, .. } = node;
+    for e in wb.entries() {
+        let l = l1
+            .get_mut(e.line)
+            .or_else(|| victim.peek_mut(e.line))
+            .expect("writable line vanished at commit");
+        tlr_mem::WriteBuffer::apply_entry(e, &mut l.data);
         l.state = Moesi::Modified;
     }
     // Footprint scan before the spec bits are cleared; the cache walk
@@ -2722,7 +2729,8 @@ fn handle_fill(node: &mut Node, ctx: &mut Ctx, line: LineAddr, data: tlr_mem::Li
         }
     }
     // Service the intervention chain in order.
-    process_interventions(node, ctx, line, mshr.interventions.into_iter().collect());
+    // `Vec::from` reuses the queue's buffer.
+    process_interventions(node, ctx, line, Vec::from(mshr.interventions));
 }
 
 fn complete_access_after_fill(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, line: LineAddr, is_lock: bool) {

@@ -19,8 +19,11 @@ use crate::line::CacheLine;
 /// 512-set L1) indexing a store of set storage: slot 0 is a shared,
 /// always-empty set that every untouched set points at, and a set's
 /// first insert gives it its own storage, appended in first-touch
-/// order. That storage grows with ordinary `Vec` growth; `ways` alone
-/// bounds a set's occupancy.
+/// order. That storage holds one line at first and doubles when full,
+/// capped at `ways` (1, 2, 4 lines on a 4-way set; 1, 2, 3 on a 3-way
+/// one), so a set that only ever holds one line owns one line's worth
+/// rather than `Vec`'s four-line minimum. Storage is kept when a set
+/// empties.
 #[derive(Debug, Clone)]
 pub struct Cache {
     slots: Vec<u16>,
@@ -106,6 +109,10 @@ impl Cache {
             // Search from LRU end for a non-transactional victim.
             let victim_pos = set.iter().rposition(|l| !l.spec_accessed()).unwrap_or(set.len() - 1);
             evicted = Some(set.remove(victim_pos));
+        } else if set.len() == set.capacity() {
+            // Double, starting from one line and capped at `ways`;
+            // `Vec` would start from four.
+            set.reserve_exact(set.len().max(1).min(ways - set.len()));
         }
         set.insert(0, entry);
         evicted
@@ -140,6 +147,12 @@ impl Cache {
         assert_eq!(self.touched[0].capacity(), 0, "the shared empty set never holds a line");
         assert_eq!(self.touched.len(), 1 + self.slots.iter().filter(|&&s| s != 0).count());
         (0..self.slots.len()).filter(|&i| self.slots[i] != 0).collect()
+    }
+
+    /// Lines the storage of `line`'s set can hold without reallocating.
+    #[cfg(test)]
+    fn set_capacity(&self, line: LineAddr) -> usize {
+        self.touched[self.slots[(line.0 & self.set_mask) as usize] as usize].capacity()
     }
 }
 
@@ -250,6 +263,35 @@ mod tests {
         assert!(c.contains(LineAddr(3)), "the transactional line survives");
         assert_eq!(c.len(), 8);
         assert_eq!(c.touched_sets(), vec![3], "one set's storage held all nine inserts");
+    }
+
+    #[test]
+    fn set_storage_doubles_from_one_line_up_to_ways() {
+        // Capacity after each insert into one set (set 3 of `sets`).
+        fn capacities(sets: u64, ways: usize, inserts: u64) -> Vec<usize> {
+            let mut c = Cache::new(sets as usize, ways);
+            (0..inserts)
+                .map(|k| {
+                    c.insert(mk(3 + sets * k, Moesi::Shared));
+                    c.set_capacity(LineAddr(3))
+                })
+                .collect()
+        }
+        // The shared L2's geometry: one insert owns one line's storage,
+        // the 2nd, 3rd and 5th inserts grow it to 2, 4 and 8 lines.
+        assert_eq!(capacities(8192, 8, 9), vec![1, 2, 4, 4, 8, 8, 8, 8, 8]);
+        // Table 2's 4-way L1 never holds more than its ways.
+        assert_eq!(capacities(512, 4, 7), vec![1, 2, 4, 4, 4, 4, 4]);
+        // The cap applies mid-doubling: 2 lines grow by 1, not 2.
+        assert_eq!(capacities(4, 3, 5), vec![1, 2, 3, 3, 3]);
+        // An eviction from a full set reuses its storage in place.
+        let mut c = Cache::new(4, 2);
+        c.insert(mk(1, Moesi::Shared));
+        c.insert(mk(5, Moesi::Shared));
+        let before = c.touched[c.slots[1] as usize].as_ptr();
+        assert!(c.insert(mk(9, Moesi::Shared)).is_some(), "a full set evicts");
+        assert_eq!(c.set_capacity(LineAddr(1)), 2);
+        assert_eq!(c.touched[c.slots[1] as usize].as_ptr(), before, "no reallocation");
     }
 
     #[test]
