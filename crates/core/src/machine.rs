@@ -40,7 +40,7 @@ use tlr_sim::config::{Engine, MachineConfig, UntimestampedPolicy};
 use tlr_sim::fault::FaultPlan;
 use tlr_sim::prof::{EngineProf, Gauges, Profiler, WakeSource};
 use tlr_sim::trace::{Trace, TraceKind};
-use tlr_sim::{Cycle, MachineStats, NodeId, SimRng};
+use tlr_sim::{Cycle, MachineStats, NodeId, NodeStats, SimRng};
 
 use crate::fabric::Fabric;
 use crate::node::{DeferredReq, Node, PendingWriteback, SnoopEvent, Wait};
@@ -112,6 +112,9 @@ struct Ctx<'a> {
     /// Spurious-abort stream, present only on chaos runs; its own RNG,
     /// so the machine's `rng` sequences are untouched by fault draws.
     fault: Option<&'a mut FaultPlan>,
+    /// Whether the node tick in progress has charged its cycle to a
+    /// category ([`Ctx::charge`]); [`tick_node`] clears and reads it.
+    charged: bool,
 }
 
 impl Ctx<'_> {
@@ -128,6 +131,12 @@ impl Ctx<'_> {
     /// are off.
     fn fault_fires_spurious_abort(&mut self) -> bool {
         self.fault.as_mut().is_some_and(|f| f.spurious_abort_fires())
+    }
+
+    /// Charges this tick's cycle of node `id` to one cycle category.
+    fn charge(&mut self, id: NodeId, category: impl FnOnce(&mut NodeStats) -> &mut u64) {
+        *category(self.stats.node_mut(id)) += 1;
+        self.charged = true;
     }
 }
 
@@ -1604,6 +1613,7 @@ impl Machine {
             lock_addrs: &self.lock_addrs,
             policy: self.policy,
             fault: self.fault.as_mut(),
+            charged: false,
         };
         f(&mut self.nodes, &mut ctx)
     }
@@ -1863,7 +1873,8 @@ fn node_involved(node: &Node, ev: &SnoopEvent) -> bool {
 ///
 /// That identity also holds *before* every tick: both schedulers
 /// settle a node's skipped cycles through `now - 1` before it runs at
-/// `now`. So one category sum after the tick tells whether it charged.
+/// `now`. Every per-tick charge goes through [`Ctx::charge`], which
+/// flags it, so the sweep needs no category sum.
 fn tick_node(node: &mut Node, ctx: &mut Ctx) {
     debug_assert_eq!(
         ctx.stats.node_mut(node.id).attributed_cycles(),
@@ -1872,17 +1883,23 @@ fn tick_node(node: &mut Node, ctx: &mut Ctx) {
         node.id,
         ctx.now
     );
+    ctx.charged = false;
     tick_node_inner(node, ctx);
-    let ns = ctx.stats.node_mut(node.id);
-    let charged = ns.attributed_cycles();
-    debug_assert!(charged <= ctx.now, "node {} tick charged several cycle categories", node.id);
-    if charged < ctx.now {
+    if !ctx.charged {
+        let ns = ctx.stats.node_mut(node.id);
         if node.paused && !node.core.is_done() {
             ns.paused_cycles += 1;
         } else {
             ns.other_cycles += 1;
         }
     }
+    debug_assert_eq!(
+        ctx.stats.node_mut(node.id).attributed_cycles(),
+        ctx.now,
+        "node {}: the tick at {} charged several cycle categories",
+        node.id,
+        ctx.now
+    );
 }
 
 fn tick_node_inner(node: &mut Node, ctx: &mut Ctx) {
@@ -1890,7 +1907,7 @@ fn tick_node_inner(node: &mut Node, ctx: &mut Ctx) {
         if node.done_at.is_none() {
             node.done_at = Some(ctx.now);
         } else {
-            ctx.stats.node_mut(node.id).done_cycles += 1;
+            ctx.charge(node.id, |s| &mut s.done_cycles);
         }
         drain_store_buffer(node, ctx);
         return;
@@ -1920,12 +1937,12 @@ fn tick_node_inner(node: &mut Node, ctx: &mut Ctx) {
     if node.txn.as_ref().is_some_and(|t| t.committing) {
         try_commit(node, ctx);
         if node.txn.is_some() {
-            ctx.stats.node_mut(node.id).commit_wait_cycles += 1;
+            ctx.charge(node.id, |s| &mut s.commit_wait_cycles);
         }
         return;
     }
     if ctx.now < node.stall_until {
-        ctx.stats.node_mut(node.id).data_stall_cycles += 1;
+        ctx.charge(node.id, |s| &mut s.data_stall_cycles);
         return;
     }
     if node.wait.is_some() {
@@ -1933,11 +1950,11 @@ fn tick_node_inner(node: &mut Node, ctx: &mut Ctx) {
         return;
     }
     match node.core.tick() {
-        CoreStep::Busy => ctx.stats.node_mut(node.id).busy_cycles += 1,
+        CoreStep::Busy => ctx.charge(node.id, |s| &mut s.busy_cycles),
         CoreStep::Waiting => {
             // Core blocked without a wait record: only possible
             // transiently; charge as a data stall.
-            ctx.stats.node_mut(node.id).data_stall_cycles += 1;
+            ctx.charge(node.id, |s| &mut s.data_stall_cycles);
         }
         CoreStep::Access(acc) => handle_access(node, ctx, acc),
         CoreStep::Io => {
@@ -2976,7 +2993,7 @@ fn retry_wait(node: &mut Node, ctx: &mut Ctx) {
         Wait::Fill { is_lock, .. } => charge_stall(node, ctx, is_lock),
         Wait::StoreBufFull => {
             if node.sb.is_full() {
-                ctx.stats.node_mut(node.id).store_buffer_full_cycles += 1;
+                ctx.charge(node.id, |s| &mut s.store_buffer_full_cycles);
             } else {
                 redo_access(node, ctx);
             }
@@ -3001,19 +3018,14 @@ fn retry_wait(node: &mut Node, ctx: &mut Ctx) {
                 node.core.complete_io();
                 node.wait = None;
             } else {
-                ctx.stats.node_mut(node.id).data_stall_cycles += 1;
+                ctx.charge(node.id, |s| &mut s.data_stall_cycles);
             }
         }
     }
 }
 
 fn charge_stall(node: &mut Node, ctx: &mut Ctx, is_lock: bool) {
-    let ns = ctx.stats.node_mut(node.id);
-    if is_lock {
-        ns.lock_stall_cycles += 1;
-    } else {
-        ns.data_stall_cycles += 1;
-    }
+    ctx.charge(node.id, |s| if is_lock { &mut s.lock_stall_cycles } else { &mut s.data_stall_cycles });
 }
 
 fn redo_access(node: &mut Node, ctx: &mut Ctx) {
@@ -3023,12 +3035,7 @@ fn redo_access(node: &mut Node, ctx: &mut Ctx) {
 }
 
 fn charge_busy(node: &mut Node, ctx: &mut Ctx, is_lock: bool) {
-    let ns = ctx.stats.node_mut(node.id);
-    if is_lock {
-        ns.lock_busy_cycles += 1;
-    } else {
-        ns.busy_cycles += 1;
-    }
+    ctx.charge(node.id, |s| if is_lock { &mut s.lock_busy_cycles } else { &mut s.busy_cycles });
 }
 
 /// Sends a negative acknowledgement for `line` to `to` and reverts

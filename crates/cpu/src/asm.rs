@@ -251,6 +251,9 @@ impl Asm {
                 other => unreachable!("fixup on non-branch {other:?}"),
             };
         }
+        // A program lives as long as the run: keep its ops, not the
+        // doubling slack of assembling them.
+        self.ops.shrink_to_fit();
         Program::new(self.name, self.ops)
     }
 }

@@ -99,6 +99,11 @@ impl MshrEntry {
 }
 
 /// The node's file of outstanding misses.
+///
+/// Storage grows with use: the first miss reserves one entry and each
+/// growth doubles it, capped at the configured register count, so a
+/// node with one miss in flight owns one 136-byte entry, not the four
+/// an empty `Vec` reserves at its first push.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     entries: Vec<MshrEntry>,
@@ -126,8 +131,13 @@ impl MshrFile {
     /// Allocates a new entry. Returns `None` (and does nothing) if the
     /// file is full or the line is already tracked.
     pub fn alloc(&mut self, entry: MshrEntry) -> Option<&mut MshrEntry> {
-        if self.entries.len() == self.capacity || self.get(entry.line).is_some() {
+        let len = self.entries.len();
+        if len == self.capacity || self.get(entry.line).is_some() {
             return None;
+        }
+        if len == self.entries.capacity() {
+            // Double, starting from one entry and capped at `capacity`.
+            self.entries.reserve_exact(len.max(1).min(self.capacity - len));
         }
         self.entries.push(entry);
         self.peak = self.peak.max(self.entries.len());
@@ -264,6 +274,40 @@ mod tests {
         assert!(f.alloc(MshrEntry::new(LineAddr(1), true, None)).is_none(), "duplicate");
         assert!(f.alloc(MshrEntry::new(LineAddr(2), true, None)).is_none(), "full");
         assert!(f.is_full());
+    }
+
+    #[test]
+    fn storage_doubles_from_one_entry_up_to_capacity() {
+        // Storage capacity after each alloc, allocating until full.
+        fn capacities(registers: usize) -> Vec<usize> {
+            let mut f = MshrFile::new(registers);
+            (0..registers as u64)
+                .map(|l| {
+                    assert!(f.alloc(MshrEntry::new(LineAddr(l), false, None)).is_some());
+                    f.entries.capacity()
+                })
+                .collect()
+        }
+        assert_eq!(MshrFile::new(16).entries.capacity(), 0, "no storage before the first miss");
+        // Table 2's 16 MSHRs: the 2nd, 3rd, 5th and 9th allocs grow it.
+        let mut growths = capacities(16);
+        growths.dedup();
+        assert_eq!(growths, vec![1, 2, 4, 8, 16], "never past the register count");
+        // The cap applies mid-doubling: 2 entries grow by 1, not 2.
+        assert_eq!(capacities(3), vec![1, 2, 3]);
+        // A full file, or a line already tracked, still allocates nothing.
+        let mut f = MshrFile::new(3);
+        for l in 0..3 {
+            f.alloc(MshrEntry::new(LineAddr(l), false, None));
+        }
+        assert!(f.alloc(MshrEntry::new(LineAddr(9), false, None)).is_none(), "full");
+        assert_eq!((f.len(), f.entries.capacity()), (3, 3));
+        f.remove(LineAddr(1));
+        assert!(f.alloc(MshrEntry::new(LineAddr(0), true, None)).is_none(), "duplicate");
+        // Freed registers are reused in place.
+        let before = f.entries.as_ptr();
+        assert!(f.alloc(MshrEntry::new(LineAddr(9), false, None)).is_some());
+        assert_eq!((f.entries.capacity(), f.entries.as_ptr()), (3, before), "no reallocation");
     }
 
     #[test]
