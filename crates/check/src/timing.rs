@@ -94,6 +94,10 @@ impl Suite {
 
     /// Times `f`, auto-calibrating the batch size first.
     pub fn bench(&mut self, name: &str, mut f: impl FnMut()) {
+        // One untimed call first, so first-touch costs (page faults,
+        // cold caches, a descheduled thread) cannot make a one-call
+        // batch look long enough and end calibration there.
+        f();
         // Calibrate: double the batch until it takes long enough.
         let mut iters = 1u64;
         loop {

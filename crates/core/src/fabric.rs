@@ -13,12 +13,10 @@
 use std::collections::HashMap;
 
 use tlr_mem::protocol::{self, DirOutcome};
-use tlr_mem::{Bus, BusRequest, Directory, LineAddr, NodeSet, OrderDecision};
+use tlr_mem::{Bus, BusRequest, Directory, LineAddr, NodeSet, OrderDecision, WordHash};
 use tlr_sim::config::{Interconnect, MachineConfig};
 use tlr_sim::prof::{Gauges, WakeSource};
 use tlr_sim::{Cycle, MachineStats, NodeId};
-
-use crate::machine::WordHash;
 
 /// The ordering fabric a machine runs on ([`Interconnect`]).
 #[derive(Debug)]

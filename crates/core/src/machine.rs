@@ -25,17 +25,16 @@
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use tlr_cpu::{AccessKind, Core, CoreStep, MemAccess, Op, Program};
 use tlr_mem::addr::{Addr, LineAddr};
 use tlr_mem::line::{CacheLine, Moesi};
-use tlr_mem::mshr::{Intervention, MshrEntry};
+use tlr_mem::mshr::{Intervention, Interventions, MshrEntry};
 use tlr_mem::msg::{BusReqKind, BusRequest, DataGrant, NetMsg};
 use tlr_mem::protocol;
 use tlr_mem::timestamp::{Prio, Timestamp};
-use tlr_mem::{MemorySystem, Network, NodeSet};
+use tlr_mem::{MemorySystem, Network, NodeSet, WordHash};
 use tlr_sim::config::{Engine, MachineConfig, UntimestampedPolicy};
 use tlr_sim::fault::FaultPlan;
 use tlr_sim::prof::{EngineProf, Gauges, Profiler, WakeSource};
@@ -64,35 +63,6 @@ impl std::fmt::Display for SimTimeout {
 }
 
 impl std::error::Error for SimTimeout {}
-
-/// A multiplicative hasher for the machine's address-keyed tables,
-/// whose keys ([`Addr`], [`LineAddr`]) each hash as one `u64`. Much
-/// cheaper than the default SipHash, and safe here: the keys are
-/// simulated addresses, not adversarial input, and nothing iterates
-/// these tables, so no iteration order can leak into the output.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's high bits are the well-mixed ones; rotate them
-        // into the low bits the table indexes by (aligned addresses
-        // would otherwise leave those zero).
-        self.0.rotate_left(26)
-    }
-}
-
-pub(crate) type WordHash = BuildHasherDefault<WordHasher>;
 
 /// Machine-global context threaded through the controller logic so a
 /// node can be mutated while the shared structures stay reachable.
@@ -2520,7 +2490,7 @@ fn snoop_one(node: &mut Node, ctx: &mut Ctx, ev: &SnoopEvent) {
             let m = node.mshrs.get_mut(line).unwrap();
             our_exclusive = m.exclusive;
             our_ts = m.ts;
-            m.interventions.push_back(Intervention {
+            m.interventions.push(Intervention {
                 from: req.requester,
                 exclusive,
                 ts: req.ts,
@@ -2746,8 +2716,7 @@ fn handle_fill(node: &mut Node, ctx: &mut Ctx, line: LineAddr, data: tlr_mem::Li
         }
     }
     // Service the intervention chain in order.
-    // `Vec::from` reuses the queue's buffer.
-    process_interventions(node, ctx, line, Vec::from(mshr.interventions));
+    process_interventions(node, ctx, line, mshr.interventions);
 }
 
 fn complete_access_after_fill(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, line: LineAddr, is_lock: bool) {
@@ -2810,12 +2779,13 @@ fn complete_access_after_fill(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, li
 
 /// Services interventions queued behind a completed miss, applying the
 /// same conflict rules as direct snoops.
-fn process_interventions(node: &mut Node, ctx: &mut Ctx, line: LineAddr, ivs: Vec<Intervention>) {
-    for (idx, iv) in ivs.iter().enumerate() {
+fn process_interventions(node: &mut Node, ctx: &mut Ctx, line: LineAddr, ivs: Interventions) {
+    let mut ivs = ivs.into_iter();
+    while let Some(iv) = ivs.next() {
         let conflicts = node.txn.is_some()
             && node.line(line).is_some_and(|l| l.conflicts_with(iv.exclusive));
         if !conflicts {
-            chain_supply(node, ctx, line, iv);
+            chain_supply(node, ctx, line, &iv);
             continue;
         }
         // Lazy subscription: a chained request for an elided lock line
@@ -2824,7 +2794,7 @@ fn process_interventions(node: &mut Node, ctx: &mut Ctx, line: LineAddr, ivs: Ve
             if let Some(t) = node.txn.as_mut() {
                 t.lock_recheck = true;
             }
-            chain_supply(node, ctx, line, iv);
+            chain_supply(node, ctx, line, &iv);
             continue;
         }
         // Note: even under NACK retention, interventions use the
@@ -2862,12 +2832,12 @@ fn process_interventions(node: &mut Node, ctx: &mut Ctx, line: LineAddr, ivs: Ve
                 ctx.stats.obs.conflicts.record(line.0);
                 ctx.trace.record(ctx.now, node.id, TraceKind::ConflictLost { line: line.0, to: iv.from });
                 service_deferred_all(node, ctx);
-                chain_supply(node, ctx, line, iv);
+                chain_supply(node, ctx, line, &iv);
                 abort_txn(node, ctx, AbortKind::Conflict, Some(line));
                 // Remaining interventions are serviced outside any
                 // transaction.
-                for later in &ivs[idx + 1..] {
-                    chain_supply(node, ctx, line, later);
+                for later in ivs {
+                    chain_supply(node, ctx, line, &later);
                 }
                 return;
             }
@@ -2936,7 +2906,7 @@ fn handle_marker(node: &mut Node, ctx: &mut Ctx, line: LineAddr, from: NodeId) {
     let mut fwd: Option<Prio> = m.pending_probe.take();
     if in_txn && m.ts.is_some() {
         let our_exclusive = m.exclusive;
-        for iv in &m.interventions {
+        for iv in m.interventions.iter() {
             if let Some(ts) = iv.ts {
                 let cand = Prio::new(ts, iv.karma);
                 if (iv.exclusive || our_exclusive)

@@ -92,24 +92,22 @@ impl RmwPredictor {
     }
 
     /// Records a committed store: any recent load of the same line
-    /// trains the predictor for that load's PC.
+    /// trains the predictor for that load's PC, oldest load first.
+    /// Trains in place while it drops those loads, so a store
+    /// allocates nothing.
     pub fn record_store(&mut self, line: LineAddr) {
         if !self.enabled || self.atomic_lines.contains(&line) {
             return;
         }
-        let mut trained = Vec::new();
+        let table = &mut self.table;
         self.recent_loads.retain(|&(pc, l)| {
-            if l == line {
-                trained.push(pc);
-                false
-            } else {
-                true
+            if l != line {
+                return true;
             }
+            let conf = table.confidence(pc).map_or(1, |c| (c + 1).min(3));
+            table.set(pc, conf);
+            false
         });
-        for pc in trained {
-            let conf = self.table.confidence(pc).map_or(1, |c| (c + 1).min(3));
-            self.table.set(pc, conf);
-        }
     }
 
     /// Whether a load at `pc` should fetch exclusive ownership
@@ -225,6 +223,71 @@ mod tests {
         p.record_load(1, LineAddr(0));
         p.record_store(LineAddr(0));
         assert!(p.predicts_store(1));
+    }
+
+    /// The training pass of record: collect the matching PCs, then
+    /// train them in load order.
+    fn reference_record_store(p: &mut RmwPredictor, line: LineAddr) {
+        if !p.enabled || p.atomic_lines.contains(&line) {
+            return;
+        }
+        let mut trained = Vec::new();
+        p.recent_loads.retain(|&(pc, l)| {
+            if l == line {
+                trained.push(pc);
+                false
+            } else {
+                true
+            }
+        });
+        for pc in trained {
+            let conf = p.table.confidence(pc).map_or(1, |c| (c + 1).min(3));
+            p.table.set(pc, conf);
+        }
+    }
+
+    #[test]
+    fn in_place_training_matches_the_reference() {
+        use tlr_sim::SimRng;
+        for seed in 0..64 {
+            let mut rng = SimRng::new(0x7e57_0000 + seed);
+            // Few PCs over a small table: aliasing and repeated
+            // training of one PC inside a single store both occur.
+            let entries = 1 << rng.below(4);
+            let (mut new, mut old) = (RmwPredictor::new(entries, true), RmwPredictor::new(entries, true));
+            for step in 0..400 {
+                let line = LineAddr(rng.below(6));
+                match rng.below(8) {
+                    0..=3 => {
+                        let pc = rng.below(12) as u32;
+                        new.record_load(pc, line);
+                        old.record_load(pc, line);
+                    }
+                    4 | 5 => {
+                        new.record_store(line);
+                        reference_record_store(&mut old, line);
+                    }
+                    6 => {
+                        new.record_atomic(line);
+                        old.record_atomic(line);
+                    }
+                    _ => {
+                        let pc = rng.below(12) as u32;
+                        new.mispredicted(pc);
+                        old.mispredicted(pc);
+                    }
+                }
+                for pc in 0..12 {
+                    assert_eq!(
+                        new.predicts_store(pc),
+                        old.predicts_store(pc),
+                        "seed {seed}, step {step}, pc {pc}"
+                    );
+                    assert_eq!(new.table.confidence(pc), old.table.confidence(pc), "seed {seed}, step {step}");
+                }
+                assert_eq!(new.recent_loads, old.recent_loads, "seed {seed}, step {step}");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! word-aligned.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cache line size in bytes (Table 2 of the paper).
 pub const LINE_BYTES: u64 = 64;
@@ -79,6 +80,39 @@ impl fmt::Display for LineAddr {
         write!(f, "L0x{:x}", self.0)
     }
 }
+
+/// A multiplicative hasher for the simulator's address-keyed tables
+/// (the directory's entries, backing memory, the bus owner ledger and
+/// the machine's lock set), whose keys ([`Addr`], [`LineAddr`]) each
+/// hash as one `u64`. Much cheaper than the default SipHash, and safe
+/// here: the keys are simulated addresses, not adversarial input, and
+/// nothing iterates these tables, so no iteration order can leak into
+/// the output.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; rotate them
+        // into the low bits the table indexes by (aligned addresses
+        // would otherwise leave those zero).
+        self.0.rotate_left(26)
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`WordHasher`], for
+/// `HashMap<LineAddr, V, WordHash>` and its kin.
+pub type WordHash = BuildHasherDefault<WordHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -33,7 +33,7 @@ use tlr_sim::config::Interconnect;
 use tlr_sim::fault::NetFault;
 use tlr_sim::{Cycle, NodeId};
 
-use crate::addr::LineAddr;
+use crate::addr::{LineAddr, WordHash};
 use crate::msg::BusRequest;
 use crate::network::Network;
 use crate::protocol::{self, DirOutcome};
@@ -172,7 +172,9 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct Directory {
     nodes: usize,
-    entries: HashMap<LineAddr, DirEntry>,
+    /// Per-line entries, hashed by [`WordHash`]; never iterated, so
+    /// their order cannot reach the output.
+    entries: HashMap<LineAddr, DirEntry, WordHash>,
     inbound: Network<BusRequest>,
     banks: Vec<Bank>,
     occupancy: u64,
@@ -197,7 +199,7 @@ impl Directory {
     pub fn new(nodes: usize, banks: usize, occupancy: u64, req_latency: u64) -> Self {
         Directory {
             nodes,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             inbound: Network::new(),
             banks: (0..banks.max(1)).map(|_| Bank { queue: VecDeque::new(), busy_until: 0 }).collect(),
             occupancy,

@@ -43,13 +43,13 @@ pub mod timestamp;
 pub mod victim;
 pub mod wb;
 
-pub use addr::{Addr, LineAddr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
+pub use addr::{Addr, LineAddr, WordHash, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use bus::Bus;
 pub use cache::Cache;
 pub use directory::{DirEntry, Directory, NodeSet, OrderDecision};
 pub use line::{CacheLine, LineData, Moesi};
 pub use memsys::MemorySystem;
-pub use mshr::{Intervention, MshrEntry, MshrFile, RetryTimers};
+pub use mshr::{Intervention, Interventions, MshrEntry, MshrFile, RetryTimers};
 pub use msg::{BusReqKind, BusRequest, DataGrant, NetMsg};
 pub use network::Network;
 pub use storebuf::StoreBuffer;

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use crate::addr::{Addr, LineAddr};
+use crate::addr::{Addr, LineAddr, WordHash};
 use crate::cache::Cache;
 use crate::line::{CacheLine, LineData, Moesi};
 
@@ -17,7 +17,9 @@ use crate::line::{CacheLine, LineData, Moesi};
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     l2: Cache,
-    backing: HashMap<LineAddr, LineData>,
+    /// Lines written back past the L2 (hashed by [`WordHash`]; never
+    /// iterated, so its order cannot reach the output).
+    backing: HashMap<LineAddr, LineData, WordHash>,
     l2_latency: u64,
     mem_latency: u64,
 }
@@ -37,7 +39,7 @@ impl MemorySystem {
     /// Creates a memory system with an L2 of `l2_sets` x `l2_ways`
     /// lines and the given access latencies.
     pub fn new(l2_sets: usize, l2_ways: usize, l2_latency: u64, mem_latency: u64) -> Self {
-        MemorySystem { l2: Cache::new(l2_sets, l2_ways), backing: HashMap::new(), l2_latency, mem_latency }
+        MemorySystem { l2: Cache::new(l2_sets, l2_ways), backing: HashMap::default(), l2_latency, mem_latency }
     }
 
     /// Writes one word of the initial memory image (used by workloads

@@ -12,8 +12,6 @@
 //! neighbour in the coherence chain — so probes can be forwarded
 //! toward the cache that actually holds the data.
 
-use std::collections::VecDeque;
-
 use tlr_sim::{Cycle, NodeId};
 
 use crate::addr::LineAddr;
@@ -33,6 +31,42 @@ pub struct Intervention {
     /// The downstream request's contention-manager credit (karma
     /// policy only; 0 otherwise).
     pub karma: u32,
+}
+
+/// The interventions chained behind one miss, in arrival order. The
+/// first is held inline and only later ones go to the heap, so the
+/// common one-link chain never allocates.
+#[derive(Debug, Clone, Default)]
+pub struct Interventions {
+    first: Option<Intervention>,
+    /// Non-empty only when `first` is set.
+    rest: Vec<Intervention>,
+}
+
+impl Interventions {
+    /// Appends `iv` at the end of the chain.
+    pub fn push(&mut self, iv: Intervention) {
+        if self.first.is_none() {
+            self.first = Some(iv);
+        } else {
+            self.rest.push(iv);
+        }
+    }
+
+    /// The chain in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = &Intervention> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl IntoIterator for Interventions {
+    type Item = Intervention;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Intervention>, std::vec::IntoIter<Intervention>>;
+
+    /// Consumes the chain in arrival order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
 }
 
 /// One outstanding miss.
@@ -59,7 +93,7 @@ pub struct MshrEntry {
     pub upgrade_after_fill: bool,
     /// External requests ordered after ours, serviced in order once
     /// data arrives.
-    pub interventions: VecDeque<Intervention>,
+    pub interventions: Interventions,
     /// The upstream neighbour that sent us a marker for this line
     /// (it holds or precedes us in the chain), used to forward probes.
     pub marker_from: Option<NodeId>,
@@ -89,7 +123,7 @@ impl MshrEntry {
             ordered: false,
             ordered_at: 0,
             upgrade_after_fill: false,
-            interventions: VecDeque::new(),
+            interventions: Interventions::default(),
             marker_from: None,
             pending_probe: None,
             retries: 0,
@@ -102,8 +136,9 @@ impl MshrEntry {
 ///
 /// Storage grows with use: the first miss reserves one entry and each
 /// growth doubles it, capped at the configured register count, so a
-/// node with one miss in flight owns one 136-byte entry, not the four
-/// an empty `Vec` reserves at its first push.
+/// node with one miss in flight owns one 168-byte entry (its first
+/// chained intervention inline), not the four an empty `Vec` reserves
+/// at its first push.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     entries: Vec<MshrEntry>,
@@ -314,11 +349,29 @@ mod tests {
     fn interventions_queue_in_order() {
         let mut f = MshrFile::new(2);
         let e = f.alloc(MshrEntry::new(LineAddr(1), true, None)).unwrap();
-        e.interventions.push_back(Intervention { from: 2, exclusive: true, ts: None, karma: 0 });
-        e.interventions.push_back(Intervention { from: 3, exclusive: false, ts: None, karma: 0 });
+        e.interventions.push(Intervention { from: 2, exclusive: true, ts: None, karma: 0 });
+        e.interventions.push(Intervention { from: 3, exclusive: false, ts: None, karma: 0 });
         let e = f.remove(LineAddr(1)).unwrap();
         let froms: Vec<_> = e.interventions.iter().map(|i| i.from).collect();
         assert_eq!(froms, vec![2, 3]);
+    }
+
+    #[test]
+    fn intervention_chain_keeps_the_first_inline() {
+        let iv = |from| Intervention { from, exclusive: from % 2 == 0, ts: None, karma: from as u32 };
+        let mut chain = Interventions::default();
+        assert!(chain.iter().next().is_none());
+        chain.push(iv(7));
+        assert_eq!((chain.first, chain.rest.capacity()), (Some(iv(7)), 0), "one link, no heap");
+        for from in 8..12 {
+            chain.push(iv(from));
+        }
+        let borrowed: Vec<_> = chain.iter().copied().collect();
+        assert_eq!(borrowed, (7..12).map(iv).collect::<Vec<_>>(), "push order");
+        // Consuming after the first: the tail follows in order.
+        let mut it = chain.into_iter();
+        assert_eq!(it.next(), Some(iv(7)));
+        assert_eq!(it.collect::<Vec<_>>(), (8..12).map(iv).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use tlr_mem::addr::{Addr, LineAddr};
 use tlr_mem::line::{CacheLine, LineData, Moesi};
 use tlr_mem::timestamp::Timestamp;
 use tlr_mem::{Cache, Network, StoreBuffer, WriteBuffer};
+use tlr_sim::fault::FaultConfig;
 
 /// The cache never holds two entries for one line, never exceeds its
 /// capacity, and a line that was just inserted (and not since evicted)
@@ -298,6 +299,110 @@ fn network_delivers_in_order() {
             return Err(format!("delivery order {got:?} != {expected:?}"));
         }
         Ok(())
+    });
+}
+
+/// One case of the calendar model check: random sends (delays from 0
+/// to past 1,000 cycles, so the ring doubles several times, and some
+/// sends below the earliest queued cycle) interleaved with
+/// `pop_ready` at arbitrary clocks. The reference is a list of (due
+/// cycle, send index, value) popped by a stable minimum; the network
+/// must deliver the same sequence and agree on `next_ready` and `len`
+/// after every operation. With `fault` set, a twin of the network's
+/// jitter hook tells the model where each send really lands.
+fn calendar_matches_model(s: &mut tlr_check::Source, fault: Option<FaultConfig>) -> Result<(), String> {
+    let mut net = Network::new();
+    let mut twin = fault.as_ref().and_then(FaultConfig::net_fault);
+    net.set_fault(fault.as_ref().and_then(FaultConfig::net_fault));
+    let mut model: Vec<(u64, usize, u32)> = Vec::new();
+    let (mut clock, mut sent) = (0u64, 0usize);
+    let ops = s.usize_in(1..=300);
+    for op in 0..ops {
+        match s.below(8) {
+            0..=3 => {
+                let delay = match s.below(4) {
+                    0 => s.u64_in(0..=3),
+                    1 => s.u64_in(0..=100),
+                    2 => s.u64_in(0..=400),
+                    _ => s.u64_in(600..=1_100),
+                };
+                let at = clock + delay;
+                let value = s.u32_in(0..=999);
+                net.send(at, value);
+                model.push((twin.as_mut().map_or(at, |f| f.perturb(at)), sent, value));
+                sent += 1;
+            }
+            4 => {
+                // Below the earliest queued cycle (and maybe the clock).
+                let Some(&(min, _, _)) = model.iter().min() else { continue };
+                let at = min.saturating_sub(s.u64_in(1..=40));
+                let value = s.u32_in(0..=999);
+                net.send(at, value);
+                model.push((twin.as_mut().map_or(at, |f| f.perturb(at)), sent, value));
+                sent += 1;
+            }
+            5 => clock += s.u64_in(0..=1_200),
+            6 => {
+                // One pop at an arbitrary clock, possibly in the past.
+                let now = s.u64_in(0..=clock + 50);
+                let expect = pop_model(&mut model, now);
+                let got = net.pop_ready(now);
+                if got != expect {
+                    return Err(format!("op {op}: pop_ready({now}) gave {got:?}, model {expect:?}"));
+                }
+            }
+            _ => {
+                let mut got = Vec::new();
+                while let Some(v) = net.pop_ready(clock) {
+                    got.push(v);
+                }
+                let expect: Vec<u32> = std::iter::from_fn(|| pop_model(&mut model, clock)).collect();
+                if got != expect {
+                    return Err(format!("op {op}: drain at {clock} gave {got:?}, model {expect:?}"));
+                }
+            }
+        }
+        let next = model.iter().min().map(|&(at, _, _)| at);
+        if net.next_ready() != next || net.len() != model.len() {
+            return Err(format!(
+                "op {op}: next_ready {:?} len {}, model {next:?} len {}",
+                net.next_ready(),
+                net.len(),
+                model.len()
+            ));
+        }
+    }
+    let got: Vec<u32> = std::iter::from_fn(|| net.pop_ready(u64::MAX)).collect();
+    let expect: Vec<u32> = std::iter::from_fn(|| pop_model(&mut model, u64::MAX)).collect();
+    if got != expect {
+        return Err(format!("final drain gave {got:?}, model {expect:?}"));
+    }
+    Ok(())
+}
+
+/// Removes the model's earliest (due cycle, send index) entry if it is
+/// due at or before `now`.
+fn pop_model(model: &mut Vec<(u64, usize, u32)>, now: u64) -> Option<u32> {
+    let (pos, &(at, _, value)) = model.iter().enumerate().min_by_key(|&(_, e)| (e.0, e.1))?;
+    (at <= now).then(|| {
+        model.remove(pos);
+        value
+    })
+}
+
+/// The network's calendar ring delivers exactly as a stable-min model.
+#[test]
+fn calendar_matches_reference_model() {
+    check("calendar_matches_reference_model", 64, |s| calendar_matches_model(s, None));
+}
+
+/// The same, with delivery jitter installed at a random intensity.
+#[test]
+fn calendar_matches_reference_model_under_jitter() {
+    check("calendar_matches_reference_model_under_jitter", 64, |s| {
+        let level = s.u32_in(1..=FaultConfig::MAX_INTENSITY);
+        let fault = FaultConfig::intensity(s.next_raw(), level);
+        calendar_matches_model(s, Some(fault))
     });
 }
 

@@ -1,11 +1,14 @@
-//! The discrete-event calendar: a binary-heap queue keyed by
-//! `(wake_cycle, stable tie-break id)`.
+//! The discrete-event calendar: a ring of per-cycle FIFO buckets (a
+//! calendar queue, after Brown, "Calendar queues", CACM 1988) keyed
+//! by `(wake_cycle, stable tie-break id)`.
 //!
 //! The event-driven engine replaces tick-the-world with clock jumps to
-//! the next scheduled event. Data-network deliveries live in an
-//! [`EventQueue`]; the other wake sources (bus arbitration, directory
-//! banks, retry and idle timers) each report their next cycle through
-//! a method of their own, which the machine reads directly.
+//! the next scheduled event. Data-network deliveries and directory
+//! request flights live in an [`EventQueue`]; the other wake sources
+//! (bus arbitration, directory banks, retry and idle timers) each
+//! report their next cycle through a method of their own, which the
+//! machine reads directly.
+//!
 //! Determinism requires a *total* order on events: two events
 //! scheduled for the same cycle pop in the order they were pushed,
 //! because each push is assigned a monotonically increasing tie-break
@@ -14,59 +17,84 @@
 //! was cycle-stepped, so swapping the container changes no delivery
 //! order anywhere.
 //!
+//! The order is exact by construction, not by sorting. Every queued
+//! cycle lies in `[earliest, earliest + ring size)`, so bucket
+//! `cycle & mask` holds exactly one cycle, and each bucket is a FIFO
+//! list in push order. A push that would stretch the queued span to
+//! the ring's size doubles the ring first, so the ring follows the
+//! delays that actually occur (memory latency, network latency, fault
+//! jitter) with no overflow structure beside it.
+//!
 //! The queue deliberately has no `remove` or `reschedule`: stale
 //! entries are the classic source of calendar-queue nondeterminism,
 //! so consumers that need revocable wakes (the machine's per-node
 //! scheduler) keep authoritative state outside the queue and treat a
 //! pop as a hint, never as a command.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use crate::Cycle;
 
-/// One scheduled entry: the key is `(cycle, id)` and the ordering is
-/// on the key alone, so `T` needs no `Ord`.
+/// The ring size a queue starts with; it doubles on demand.
+const INITIAL_BUCKETS: usize = 64;
+
+/// The end of a slot list.
+const NIL: u32 = u32::MAX;
+
+/// One queued event, or a free slot (then `value` is `None` and
+/// `next` threads the free list).
 #[derive(Debug, Clone)]
-struct Entry<T> {
-    cycle: Cycle,
+struct Slot<T> {
     id: u64,
-    value: T,
+    next: u32,
+    value: Option<T>,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycle == other.cycle && self.id == other.id
-    }
+/// One cycle's FIFO: the first and last slot of its list. `cycle` is
+/// meaningful only while the bucket's occupancy bit is set.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    cycle: Cycle,
+    head: u32,
+    tail: u32,
 }
 
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest
-        // (cycle, id) on top.
-        (other.cycle, other.id).cmp(&(self.cycle, self.id))
-    }
-}
+const EMPTY: Bucket = Bucket { cycle: 0, head: NIL, tail: NIL };
 
 /// A deterministic future-event queue ordered by
 /// `(wake_cycle, push order)`.
+///
+/// A push, a pop and [`EventQueue::next_cycle`] cost O(1) apart from
+/// the occupancy-bitmap scan that finds the next non-empty bucket
+/// (one word per 64 cycles of ring). Events live in one slab whose
+/// freed slots are reused, so a queue in steady state does not
+/// allocate.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
+    slots: Vec<Slot<T>>,
+    /// Head of the free-slot list.
+    free: u32,
+    /// The ring; its length is a power of two.
+    buckets: Vec<Bucket>,
+    /// One bit per bucket: set while the bucket holds events.
+    occupied: Vec<u64>,
+    /// The earliest and latest queued cycles (valid while `len > 0`).
+    min: Cycle,
+    max: Cycle,
+    len: usize,
     next_id: u64,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_id: 0 }
+        EventQueue {
+            slots: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY; INITIAL_BUCKETS],
+            occupied: vec![0; INITIAL_BUCKETS / 64],
+            min: 0,
+            max: 0,
+            len: 0,
+            next_id: 0,
+        }
     }
 }
 
@@ -79,23 +107,53 @@ impl<T> EventQueue<T> {
     /// Schedules `value` for cycle `cycle` and returns its tie-break
     /// id. Ids increase monotonically across the queue's lifetime, so
     /// same-cycle entries pop in push order even across interleaved
-    /// pushes and pops.
+    /// pushes and pops. `cycle` may precede every queued cycle.
     pub fn push(&mut self, cycle: Cycle, value: T) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.heap.push(Entry { cycle, id, value });
+        if self.len == 0 {
+            (self.min, self.max) = (cycle, cycle);
+        } else {
+            (self.min, self.max) = (self.min.min(cycle), self.max.max(cycle));
+            if self.max - self.min >= self.buckets.len() as u64 {
+                self.grow();
+            }
+        }
+        let slot = match self.free {
+            NIL => {
+                self.slots.push(Slot { id, next: NIL, value: Some(value) });
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
+            }
+            s => {
+                let free = &mut self.slots[s as usize];
+                self.free = free.next;
+                *free = Slot { id, next: NIL, value: Some(value) };
+                s
+            }
+        };
+        let b = self.bucket_of(cycle);
+        let bucket = &mut self.buckets[b];
+        if bucket.head == NIL {
+            *bucket = Bucket { cycle, head: slot, tail: slot };
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else {
+            debug_assert_eq!(bucket.cycle, cycle, "a bucket holds one cycle");
+            self.slots[bucket.tail as usize].next = slot;
+            bucket.tail = slot;
+        }
+        self.len += 1;
         id
     }
 
     /// The cycle of the earliest scheduled event, if any.
     pub fn next_cycle(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.cycle)
+        (self.len > 0).then_some(self.min)
     }
 
     /// Pops the earliest event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: Cycle) -> Option<T> {
-        if self.heap.peek().is_some_and(|e| e.cycle <= now) {
-            Some(self.heap.pop().expect("peeked entry").value)
+        if self.len > 0 && self.min <= now {
+            self.pop().map(|(_, _, value)| value)
         } else {
             None
         }
@@ -103,19 +161,77 @@ impl<T> EventQueue<T> {
 
     /// Pops the earliest event unconditionally, with its key.
     pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
-        self.heap.pop().map(|e| (e.cycle, e.id, e.value))
+        if self.len == 0 {
+            return None;
+        }
+        let cycle = self.min;
+        let b = self.bucket_of(cycle);
+        let s = self.buckets[b].head;
+        let slot = &mut self.slots[s as usize];
+        let (id, next) = (slot.id, slot.next);
+        let value = slot.value.take().expect("a queued slot holds a value");
+        slot.next = self.free;
+        self.free = s;
+        self.len -= 1;
+        if next != NIL {
+            self.buckets[b].head = next;
+        } else {
+            self.buckets[b] = EMPTY;
+            self.occupied[b / 64] &= !(1 << (b % 64));
+            if self.len > 0 {
+                self.min = self.buckets[self.first_occupied_from(b + 1)].cycle;
+            }
+        }
+        Some((cycle, id, value))
     }
 
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are scheduled — the queue-level analogue of a
     /// machine's `is_quiesced`: an empty calendar means nothing will
     /// ever happen again without external stimulus.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
+    }
+
+    fn bucket_of(&self, cycle: Cycle) -> usize {
+        (cycle & (self.buckets.len() as u64 - 1)) as usize
+    }
+
+    /// The first occupied bucket at or after `start`, wrapping around
+    /// the ring. Scanning forward from the earliest cycle's bucket
+    /// visits cycles in ascending order, because every queued cycle is
+    /// less than one ring size past the earliest. The queue must not
+    /// be empty.
+    fn first_occupied_from(&self, start: usize) -> usize {
+        let start = start & (self.buckets.len() - 1);
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0u64 << (start % 64));
+        while bits == 0 {
+            w = (w + 1) % self.occupied.len();
+            bits = self.occupied[w];
+        }
+        w * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// Doubles the ring until the queued span `[min, max]` fits in it.
+    /// Each old bucket holds one cycle and moves whole, so every cycle
+    /// keeps its list, and with it its push order.
+    fn grow(&mut self) {
+        let mut size = self.buckets.len();
+        while self.max - self.min >= size as u64 {
+            size *= 2;
+        }
+        let old = std::mem::replace(&mut self.buckets, vec![EMPTY; size]);
+        self.occupied = vec![0; size / 64];
+        for bucket in old.into_iter().filter(|b| b.head != NIL) {
+            let b = self.bucket_of(bucket.cycle);
+            self.buckets[b] = bucket;
+            self.occupied[b / 64] |= 1 << (b % 64);
+        }
     }
 }
 
@@ -207,6 +323,28 @@ mod tests {
         assert_eq!(q.pop_due(5), None);
         assert_eq!(q.pop_due(100), Some('b'));
         assert_eq!(q.pop_due(100), None);
+    }
+
+    #[test]
+    fn ring_grows_past_wide_delays_and_keeps_order() {
+        let mut q = EventQueue::new();
+        q.push(100, "late-a");
+        q.push(5, "early"); // below the earliest queued cycle
+        q.push(1_000 + 100, "far"); // forces the ring past 1,000 buckets
+        q.push(100, "late-b");
+        q.push(5 + 64, "wraps"); // same bucket as `early` in a 64-ring
+        assert!(q.buckets.len() > 1_000, "ring doubled to fit the span");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(cy, _, v)| (cy, v))).collect();
+        assert_eq!(
+            order,
+            vec![(5, "early"), (69, "wraps"), (100, "late-a"), (100, "late-b"), (1_100, "far")]
+        );
+        // Freed slots are reused: refilling allocates no new slot.
+        let slots = q.slots.len();
+        for i in 0..slots as u64 {
+            q.push(2_000 + i, "again");
+        }
+        assert_eq!(q.slots.len(), slots);
     }
 
     #[test]
